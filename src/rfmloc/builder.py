@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from rfmloc.model import (ExtendedRfm, FeatureId, Fingerprint, Location, RawRfm,
-                          gaussian_nw)
+                          gaussian_nw, nearest_carriers_nw)
 
 
 class EmptyNeighborhood(ValueError):
@@ -191,22 +191,15 @@ def _smooth_matrix(locs, filtered, cfg) -> np.ndarray:
     """Kernel-smoothed value at every record location, per feature, over the
     filtered layer. Only positions where the filtered layer carries the
     feature are filled; those are exactly the positions a map entry needs."""
-    n, nf = filtered.shape
+    present = np.isfinite(filtered)
     smoothed = np.full_like(filtered, np.nan)
     cutoff = 3.0 * cfg.bandwidth
-    for f in range(nf):
-        carriers = np.nonzero(np.isfinite(filtered[:, f]))[0]
-        if carriers.size == 0:
-            continue
-        vals = filtered[carriers, f]
-        cx = locs[carriers, 0]
-        cy = locs[carriers, 1]
-        for qi, j in enumerate(carriers):
-            drow = np.hypot(cx - locs[j, 0], cy - locs[j, 1])
-            order = np.argsort(drow, kind="stable")
-            sel = order[drow[order] <= cutoff][: cfg.ks_neighbors]
-            smoothed[j, f] = gaussian_nw(vals[sel], drow[sel], cfg.bandwidth)
-    return smoothed
+    for j in range(filtered.shape[0]):
+        d = np.hypot(locs[:, 0] - locs[j, 0], locs[:, 1] - locs[j, 1])
+        features, (values,) = nearest_carriers_nw(d, present, (filtered,), cfg.ks_neighbors,
+                                                  cfg.bandwidth, cutoff)
+        smoothed[j, features] = values
+    return np.where(present, smoothed, np.nan)
 
 
 def estimate_std(raw: RawRfm, smoothed_at: Callable[[Location], object],

@@ -114,6 +114,8 @@ def _positioning_overrides(args) -> dict:
 
 
 def _cmd_locate(args) -> int:
+    if args.threads < 1:
+        raise DataError(f"--threads must be at least 1, got {args.threads}")
     cfg = _layer_config(PositioningConfig, args.config, _positioning_overrides(args))
     rfm = ExtendedRfm.load(args.rfm)
     observations = read_fingerprints(args.obs, missing_value=cfg.missing_value)

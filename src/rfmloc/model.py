@@ -247,6 +247,54 @@ def gaussian_nw(values, distances, bandwidth: float) -> float:
     return float((w * v).sum() / w.sum())
 
 
+def nearest_carriers_nw(d: np.ndarray, present: np.ndarray, layers: Sequence[np.ndarray],
+                        ks: int, bandwidth: float, cutoff: float | None):
+    """Gaussian kernel smoothing of every feature at one location, all at once.
+
+    ``d`` holds the distance from the location to each of n points,
+    ``present`` is the (n, features) carrier mask and ``layers`` are
+    (n, features) arrays that share it. Per feature the support is the
+    nearest ``ks`` carriers with ``d <= cutoff`` (no range limit when
+    ``cutoff`` is None), distance ties going to the lower point index.
+    Returns the indices of the features with a non-empty support, in
+    ascending order, and a (len(layers), len(features)) array holding
+    :func:`gaussian_nw` of each layer over that support.
+
+    The result equals the per-feature :func:`gaussian_nw` bit for bit:
+    features are evaluated in groups of equal support size, so each row
+    sum has the length of the scalar call and numpy's pairwise summation
+    adds in the same order.
+    """
+    if cutoff is None:
+        order = np.argsort(d, kind="stable")
+    else:
+        within = np.flatnonzero(d <= cutoff)
+        order = within[np.argsort(d[within], kind="stable")]
+    if order.size == 0:
+        return np.empty(0, dtype=np.intp), np.empty((len(layers), 0))
+    carried = present[order]
+    # per feature, the positions in ``order`` of its carriers come first
+    ranked = np.argsort(~carried, axis=0, kind="stable")
+    counts = np.minimum(carried.sum(axis=0), ks)
+    out_features = np.flatnonzero(counts)
+    estimates = np.empty((len(layers), out_features.size))
+    sizes = counts[out_features]
+    n_features = present.shape[1]
+    for size in set(sizes.tolist()):
+        group = sizes == size
+        feats = out_features[group]
+        support = order[ranked[:size, feats].T]
+        u = d[support] / bandwidth
+        logw = -0.5 * u * u
+        # supports run nearest first, so column 0 holds each row's largest log-weight
+        w = np.exp(logw - logw[:, :1])
+        wsum = w.sum(axis=1)
+        cells = support * n_features + feats[:, None]
+        for i, layer in enumerate(layers):
+            estimates[i, group] = (w * layer.take(cells)).sum(axis=1) / wsum
+    return out_features, estimates
+
+
 class ExtendedRfm:
     """Reference map extended with a per-feature spread layer.
 
@@ -273,6 +321,12 @@ class ExtendedRfm:
         if np.isfinite(values).sum() != np.isfinite(sigmas).sum() or (
                 (np.isfinite(values) != np.isfinite(sigmas)).any()):
             raise ValueError("value and sigma layers must cover the same entries")
+        # the check above leaves every present sigma finite
+        bad = np.argwhere(sigmas <= 0)
+        if bad.size:
+            j, f = bad[0]
+            raise ValueError(f"sigma of feature {feature_ids[f]!r} at reference point {j} "
+                             f"is {sigmas[j, f]!r}; every sigma must be finite and > 0")
         for arr in (locations, values, sigmas):
             arr.setflags(write=False)
         self._locations = locations
@@ -361,27 +415,17 @@ class ExtendedRfm:
         if self.n_points == 0:
             return []
         d = np.hypot(self._locations[:, 0] - loc.x, self._locations[:, 1] - loc.y)
-        order = np.argsort(d, kind="stable")
-        entries = self._query_along(d, order, 3.0 * self._config.bandwidth)
-        if not entries:
-            entries = self._query_along(d, order, None)
-        return entries
-
-    def _query_along(self, d, order, cutoff: float | None) -> list[RfmEntry]:
+        layers = (self._values, self._sigmas)
         ks = self._config.ks_neighbors
         h = self._config.bandwidth
-        out = []
-        for f, fid in enumerate(self._feature_ids):
-            carriers = order[self._present[order, f]]
-            if cutoff is not None:
-                carriers = carriers[d[carriers] <= cutoff]
-            sel = carriers[:ks]
-            if sel.size == 0:
-                continue
-            value = gaussian_nw(self._values[sel, f], d[sel], h)
-            sigma = gaussian_nw(self._sigmas[sel, f], d[sel], h)
-            out.append(RfmEntry(fid, value, sigma))
-        return out
+        features, (values, sigmas) = nearest_carriers_nw(d, self._present, layers, ks, h,
+                                                         3.0 * h)
+        if features.size == 0:
+            features, (values, sigmas) = nearest_carriers_nw(d, self._present, layers, ks, h,
+                                                             None)
+        fids = self._feature_ids
+        return [RfmEntry(fids[f], v, s)
+                for f, v, s in zip(features.tolist(), values.tolist(), sigmas.tolist())]
 
     def to_json(self) -> str:
         points = []
@@ -399,6 +443,8 @@ class ExtendedRfm:
         obj = json.loads(text)
         config = BuilderConfig.from_dict(obj["config"])
         points = obj["points"]
+        if not points:
+            raise ValueError("the map has no reference points")
         universe = sorted({e["id"] for pt in points for e in pt["entries"]})
         index = {fid: i for i, fid in enumerate(universe)}
         n = len(points)

@@ -24,7 +24,7 @@ from rfmloc import _kernels
 from rfmloc.dissim import (EmptyComparison, WeightVector, feature_distance, mji,
                            softmax_weights)
 from rfmloc.model import (ExtendedRfm, Fingerprint, Location, PositionEstimate,
-                          PositioningConfig, Termination, attributes)
+                          PositioningConfig, RfmEntry, Termination, attributes)
 
 
 class InsufficientPoints(ValueError):
@@ -230,16 +230,28 @@ def _concentration_step(pts: np.ndarray, subset: np.ndarray, h: int) -> np.ndarr
     return np.sort(np.argsort(dist, kind="stable")[:h])
 
 
+def _query_once(rfm: ExtendedRfm, loc: Location,
+                queried: dict[Location, list[RfmEntry]]) -> list[RfmEntry]:
+    """``rfm.query(loc)``, answered from ``queried`` when already asked."""
+    entries = queried.get(loc)
+    if entries is None:
+        entries = queried[loc] = rfm.query(loc)
+    return entries
+
+
 def resolve_state(state: Termination, path: Sequence[Location],
                   loop_points: Sequence[Location] | None, obs: Fingerprint,
-                  rfm: ExtendedRfm, cfg: PositioningConfig) -> PositionEstimate:
+                  rfm: ExtendedRfm, cfg: PositioningConfig,
+                  queried: dict[Location, list[RfmEntry]] | None = None) -> PositionEstimate:
     """Turn a terminated search into the final estimate.
 
     Converging keeps the last estimate. A loop that is both long enough
     and tight enough resolves to the robust center of its points; any
     other loop, and the exhausted-budget state, fall back to the searched
     location whose map feature set best matches the observation (ties go
-    to the earliest), reported with the max-budget flag.
+    to the earliest), reported with the max-budget flag. ``queried`` holds
+    the ``rfm.query`` results the search already has, by location; the
+    fallback reuses them and adds the ones it computes.
     """
     path = tuple(path)
     iterations = len(path) - 1
@@ -253,6 +265,8 @@ def resolve_state(state: Termination, path: Sequence[Location],
         center = mcd_center(kept_loop)
         return PositionEstimate(center, Termination.LOOPING, iterations, path,
                                 kept_loop, obs.id)
+    if queried is None:
+        queried = {}
     obs_attrs = attributes(obs)
     best_score = -1.0
     best_index = 0
@@ -260,7 +274,7 @@ def resolve_state(state: Termination, path: Sequence[Location],
         # a featureless observation gives every point the same (undefined)
         # overlap; keep the earliest rather than raising
         if obs_attrs:
-            score = mji(obs_attrs, frozenset(e.feature for e in rfm.query(p)))
+            score = mji(obs_attrs, frozenset(e.feature for e in _query_once(rfm, p, queried)))
         else:
             score = 0.0
         if score > best_score:
@@ -281,9 +295,10 @@ def iterate_locate(obs: Fingerprint, rfm: ExtendedRfm,
     start = initial_location(obs, rfm, cfg)
     path: list[Location] = [start]
     estimates: list[Location] = []
+    queried: dict[Location, list[RfmEntry]] = {}
     state: Termination | None = None
     for _ in range(cfg.max_iterations):
-        entries = rfm.query(path[-1])
+        entries = _query_once(rfm, path[-1], queried)
         wv = softmax_weights(entries, cfg.beta, cfg.weight_form)
         nxt = knn_locate(obs, rfm, cfg, wv)
         estimates.append(nxt)
@@ -292,7 +307,7 @@ def iterate_locate(obs: Fingerprint, rfm: ExtendedRfm,
         if state is not None:
             break
     loop_points = _extract_loop(estimates, cfg) if state is Termination.LOOPING else None
-    return resolve_state(state, path, loop_points, obs, rfm, cfg)
+    return resolve_state(state, path, loop_points, obs, rfm, cfg, queried)
 
 
 def locate_batch(observations: Sequence[Fingerprint], rfm: ExtendedRfm,
@@ -306,6 +321,8 @@ def locate_batch(observations: Sequence[Fingerprint], rfm: ExtendedRfm,
     runs the full scheme. Single-shot estimates report zero iterations and
     the converging flag. Results are independent of ``threads``.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if method == "knn":
         run_cfg = replace(cfg, alpha1=1.0, alpha2=1.0)
     elif method in ("cdm", "iterative"):

@@ -271,6 +271,26 @@ class TestBuild:
         std_ratio = sig[("dirty", "std")] / sig[("clean", "std")]
         assert mad_ratio < std_ratio
 
+    @pytest.mark.parametrize("ks, bandwidth", [(1, 1.0), (3, 0.5), (20, 1.0), (20, 2.5)])
+    def test_value_layer_equals_per_record_kernel_smooth(self, rng, ks, bandwidth):
+        # oracle: the scalar smoother over the filtered layer at every record
+        pts = {}
+        for x, y in rng.uniform(0, 12, size=(70, 2)):
+            pts[(float(x), float(y))] = {f: float(rng.uniform(-95, -45))
+                                         for f in "abcdef" if rng.random() < 0.55}
+        pts[(0.0, 0.0)] = {}  # a record that heard nothing
+        raw = grid_raw(pts)
+        cfg = BuilderConfig(ks_neighbors=ks, bandwidth=bandwidth, radius=1.0)
+        rfm = build(raw, cfg)
+        filtered = spatial_median_filter(raw, cfg)
+        for j, rec in enumerate(filtered.records):
+            expected = dict(kernel_smooth(filtered, rec.location, cfg))
+            for f, fid in enumerate(rfm.feature_ids):
+                if fid in rec.features:
+                    assert rfm.values[j, f] == expected[fid]
+                else:
+                    assert np.isnan(rfm.values[j, f])
+
     def test_residual_field_matches_raw_minus_map(self):
         pts = {(float(i) * 0.5, 0.0): {"a": -60.0 - i} for i in range(6)}
         raw = grid_raw(pts)

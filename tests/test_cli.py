@@ -120,6 +120,39 @@ class TestLocate:
             run(["locate", "--rfm", str(workdir / "map.json")])
         assert exc.value.code == 2
 
+    def test_empty_map_exits_1(self, workdir, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        obj = json.loads((workdir / "map.json").read_text())
+        obj["points"] = []
+        empty.write_text(json.dumps(obj))
+        code = run(["locate", "--rfm", str(empty), "--obs", str(workdir / "test.jsonl"),
+                    "--out", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {empty}: invalid reference map:" in err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_zero_sigma_map_exits_1(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "sigma0.json"
+        obj = json.loads((workdir / "map.json").read_text())
+        obj["points"][3]["entries"][0]["sigma"] = 0.0
+        bad.write_text(json.dumps(obj))
+        code = run(["locate", "--rfm", str(bad), "--obs", str(workdir / "test.jsonl"),
+                    "--out", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {bad}: invalid reference map:" in err
+        assert "sigma" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_1(self, workdir, tmp_path, capsys, threads):
+        code = run(["locate", "--rfm", str(workdir / "map.json"),
+                    "--obs", str(workdir / "test.jsonl"),
+                    "--out", str(tmp_path / "o.jsonl"), "--threads", threads])
+        assert code == 1
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_bad_observation_file_exits_1(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": 0, "x": null, "y": null, "features": {"a": -60}}\n'

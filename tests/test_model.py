@@ -12,7 +12,32 @@ from rfmloc.model import (DataError, ExtendedRfm, Fingerprint, Location,
                           attributes, estimate_from_obj, estimate_to_obj,
                           fingerprint_from_obj, fingerprint_to_obj, gaussian_nw,
                           read_fingerprints, write_fingerprints)
-from tests.conftest import make_fp, make_rfm
+from tests.conftest import make_fp, make_rfm, random_rfm
+
+
+def reference_query(rfm: ExtendedRfm, loc: Location) -> list[RfmEntry]:
+    """The per-feature loop the vectorised query replaced, kept as its oracle."""
+    if rfm.n_points == 0:
+        return []
+    cfg = rfm.builder_config
+    d = np.hypot(rfm.locations[:, 0] - loc.x, rfm.locations[:, 1] - loc.y)
+    order = np.argsort(d, kind="stable")
+    present = np.isfinite(rfm.values)
+
+    def along(cutoff):
+        out = []
+        for f, fid in enumerate(rfm.feature_ids):
+            carriers = order[present[order, f]]
+            if cutoff is not None:
+                carriers = carriers[d[carriers] <= cutoff]
+            sel = carriers[:cfg.ks_neighbors]
+            if sel.size == 0:
+                continue
+            out.append(RfmEntry(fid, gaussian_nw(rfm.values[sel, f], d[sel], cfg.bandwidth),
+                                gaussian_nw(rfm.sigmas[sel, f], d[sel], cfg.bandwidth)))
+        return out
+
+    return along(3.0 * cfg.bandwidth) or along(None)
 
 
 class TestAttributes:
@@ -185,6 +210,62 @@ class TestContinuousQuery:
             at = Location(float(rng.uniform(0, 20)), float(rng.uniform(0, 20)))
             got = rfm.query(at)
             assert got[0].value == pytest.approx(-67.25, abs=1e-9)
+
+
+class TestQueryOracle:
+    """The vectorised query equals the per-feature loop exactly."""
+
+    @pytest.mark.parametrize("ks", [1, 2, 3, 20])
+    def test_random_maps(self, rng, ks):
+        for _ in range(30):
+            cfg = BuilderConfig(ks_neighbors=ks, bandwidth=float(rng.uniform(0.5, 3.0)))
+            rfm = random_rfm(rng, n_points=int(rng.integers(1, 60)),
+                             n_features=int(rng.integers(1, 9)), extent=15.0,
+                             density=float(rng.uniform(0.3, 1.0)),
+                             sigma_range=(0.5, 6.0), config=cfg)
+            for _ in range(10):
+                at = Location(*map(float, rng.uniform(-2.0, 17.0, size=2)))
+                assert rfm.query(at) == reference_query(rfm, at)
+            at = rfm.location_at(int(rng.integers(rfm.n_points)))
+            assert rfm.query(at) == reference_query(rfm, at)
+
+    @pytest.mark.parametrize("ks", [1, 2, 3, 20])
+    def test_grid_with_distance_ties(self, rng, ks):
+        # unit grid: grid nodes, edge midpoints and cell centres sit at equal
+        # distances from two or four carriers
+        xs, ys = np.meshgrid(np.arange(8.0), np.arange(6.0))
+        locations = np.column_stack([xs.ravel(), ys.ravel()])
+        values = rng.uniform(-100.0, -40.0, size=(len(locations), 5))
+        values[rng.random(values.shape) >= 0.6] = np.nan
+        sigmas = np.where(np.isfinite(values), rng.uniform(0.5, 6.0, values.shape), np.nan)
+        rfm = make_rfm(locations, list("abcde"), values, sigmas,
+                       BuilderConfig(ks_neighbors=ks, bandwidth=0.5))
+        for x in np.arange(-0.5, 8.0, 0.5):
+            for y in np.arange(-0.5, 6.0, 0.5):
+                at = Location(float(x), float(y))
+                assert rfm.query(at) == reference_query(rfm, at)
+
+    @pytest.mark.parametrize("ks", [1, 3, 20])
+    def test_far_points_take_the_fallback(self, rng, ks):
+        rfm = random_rfm(rng, n_points=40, n_features=6, extent=10.0, density=0.5,
+                         sigma_range=(0.5, 6.0), config=BuilderConfig(ks_neighbors=ks))
+        for at in (Location(100.0, 100.0), Location(-50.0, 5.0), Location(5.0, 40.0)):
+            got = rfm.query(at)
+            assert got == reference_query(rfm, at)
+            assert len(got) == len(rfm.feature_ids)
+
+
+class TestExtendedRfmValidation:
+    @pytest.mark.parametrize("bad", [0.0, -1.5])
+    def test_rejects_non_positive_sigma(self, bad):
+        with pytest.raises(ValueError, match="sigma"):
+            make_rfm([[0.0, 0.0], [1.0, 0.0]], ["a", "b"],
+                     [[-60.0, -61.0], [-62.0, np.nan]], [[0.5, 1.0], [bad, np.nan]])
+
+    def test_from_json_rejects_empty_points(self):
+        text = json.dumps({"config": BuilderConfig().to_dict(), "points": []})
+        with pytest.raises(ValueError, match="no reference points"):
+            ExtendedRfm.from_json(text)
 
 
 class TestPositioningConfigValidation:

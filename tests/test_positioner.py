@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from rfmloc.dissim import WeightVector, softmax_weights, weighted_cdm
-from rfmloc.model import (Fingerprint, Location, PositioningConfig, RfmEntry,
-                          Termination)
+from rfmloc.model import (ExtendedRfm, Fingerprint, Location, PositioningConfig,
+                          RfmEntry, Termination)
 from rfmloc.positioner import (InsufficientPoints, detect_termination,
                                dissimilarities, initial_location, iterate_locate,
                                knn_locate, locate_batch, mcd_center, resolve_state)
@@ -313,6 +313,34 @@ class TestIterateLocate:
         assert len(starts) > 5
 
 
+class TestQueryReuse:
+    def test_each_searched_location_queried_once(self, rng, monkeypatch):
+        asked = []
+        query = ExtendedRfm.query
+
+        def counting_query(self, loc):
+            asked.append(loc)
+            return query(self, loc)
+
+        monkeypatch.setattr(ExtendedRfm, "query", counting_query)
+        cfg = PositioningConfig(max_iterations=4)
+        fallbacks = 0
+        for _ in range(40):
+            rfm = random_rfm(rng, n_points=int(rng.integers(2, 25)),
+                             n_features=int(rng.integers(1, 7)),
+                             density=0.5, sigma_range=(0.5, 6.0))
+            obs = make_fp({f: float(rng.uniform(-105, -40))
+                           for f in rfm.feature_ids if rng.random() < 0.6})
+            asked.clear()
+            est = iterate_locate(obs, rfm, cfg)
+            assert len(asked) == len(set(asked))
+            assert set(asked) <= set(est.path)
+            if est.tf is Termination.MAX and obs.features:
+                fallbacks += 1
+                assert set(asked) == set(est.path)  # the overlap rule saw every point
+        assert fallbacks > 0
+
+
 class TestLocateBatch:
     def _instance(self, rng):
         rfm = random_rfm(rng, n_points=15, n_features=4, density=0.8,
@@ -359,6 +387,12 @@ class TestLocateBatch:
         seq = locate_batch(queries, rfm, CFG, method="iterative", threads=1)
         par = locate_batch(queries, rfm, CFG, method="iterative", threads=4)
         assert seq == par
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, rng, threads):
+        rfm, queries = self._instance(rng)
+        with pytest.raises(ValueError, match="threads"):
+            locate_batch(queries, rfm, CFG, threads=threads)
 
     def test_unknown_method_rejected(self, rng):
         rfm, queries = self._instance(rng)
