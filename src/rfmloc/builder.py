@@ -37,8 +37,7 @@ class BuilderConfig:
     support is additionally restricted to three bandwidths. ``mad_scale``
     converts a median absolute residual into a normal-consistent standard
     deviation and ``sigma_floor`` is the smallest spread the map will
-    report. ``grid_resolution`` is the cell size used when exporting the
-    continuous layers onto a grid.
+    report.
     """
 
     max_neighbors: int = 20
@@ -47,7 +46,6 @@ class BuilderConfig:
     bandwidth: float = 1.0
     mad_scale: float = 1.4826
     sigma_floor: float = 0.5
-    grid_resolution: float = 0.5
 
     def __post_init__(self):
         if self.max_neighbors < 1:
@@ -62,8 +60,6 @@ class BuilderConfig:
             raise ValueError("mad_scale must be positive")
         if self.sigma_floor <= 0:
             raise ValueError("sigma_floor must be positive")
-        if self.grid_resolution <= 0:
-            raise ValueError("grid_resolution must be positive")
 
     def to_dict(self) -> dict:
         return {
@@ -73,7 +69,6 @@ class BuilderConfig:
             "bandwidth": self.bandwidth,
             "mad_scale": self.mad_scale,
             "sigma_floor": self.sigma_floor,
-            "grid_resolution": self.grid_resolution,
         }
 
     @classmethod
@@ -85,7 +80,6 @@ class BuilderConfig:
             bandwidth=float(obj["bandwidth"]),
             mad_scale=float(obj["mad_scale"]),
             sigma_floor=float(obj["sigma_floor"]),
-            grid_resolution=float(obj["grid_resolution"]),
         )
 
 

@@ -85,7 +85,6 @@ def _cmd_build(args) -> int:
         "max_neighbors": args.max_neighbors, "radius": args.radius,
         "ks_neighbors": args.ks_neighbors, "bandwidth": args.bandwidth,
         "mad_scale": args.mad_scale, "sigma_floor": args.sigma_floor,
-        "grid_resolution": args.grid_resolution,
     }
     cfg = _layer_config(BuilderConfig, args.config, overrides)
     records = read_fingerprints(args.raw, require_location=True)
@@ -217,7 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth", type=float)
     p.add_argument("--mad-scale", type=float)
     p.add_argument("--sigma-floor", type=float)
-    p.add_argument("--grid-resolution", type=float)
     p.set_defaults(handler=_cmd_build)
 
     p = sub.add_parser("locate", help="position observations against a map")

@@ -313,6 +313,8 @@ class ExtendedRfm:
         if locations.ndim != 2 or locations.shape[1] != 2:
             raise ValueError("locations must be an (n, 2) array")
         n = locations.shape[0]
+        if n == 0:
+            raise ValueError("the map has no reference points")
         f = len(feature_ids)
         if values.shape != (n, f) or sigmas.shape != (n, f):
             raise ValueError("layer shapes must match (n_points, n_features)")
@@ -379,8 +381,6 @@ class ExtendedRfm:
 
     @property
     def bbox(self) -> Rect:
-        if self.n_points == 0:
-            raise ValueError("empty map has no bounding box")
         xs = self._locations[:, 0]
         ys = self._locations[:, 1]
         return Rect(float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max()))
@@ -412,8 +412,6 @@ class ExtendedRfm:
         entries at all, it is dropped so the query stays answerable
         anywhere in the region.
         """
-        if self.n_points == 0:
-            return []
         d = np.hypot(self._locations[:, 0] - loc.x, self._locations[:, 1] - loc.y)
         layers = (self._values, self._sigmas)
         ks = self._config.ks_neighbors
@@ -443,8 +441,6 @@ class ExtendedRfm:
         obj = json.loads(text)
         config = BuilderConfig.from_dict(obj["config"])
         points = obj["points"]
-        if not points:
-            raise ValueError("the map has no reference points")
         universe = sorted({e["id"] for pt in points for e in pt["entries"]})
         index = {fid: i for i, fid in enumerate(universe)}
         n = len(points)
@@ -454,9 +450,13 @@ class ExtendedRfm:
         for j, pt in enumerate(points):
             locations[j] = (float(pt["x"]), float(pt["y"]))
             for e in pt["entries"]:
+                v, sigma = float(e["v"]), float(e["sigma"])
+                if not (math.isfinite(v) and math.isfinite(sigma)):
+                    raise ValueError(f"feature {e['id']!r} at reference point {j} has "
+                                     f"v={v!r}, sigma={sigma!r}; both must be finite")
                 f = index[e["id"]]
-                values[j, f] = float(e["v"])
-                sigmas[j, f] = float(e["sigma"])
+                values[j, f] = v
+                sigmas[j, f] = sigma
         return cls(locations, universe, values, sigmas, config)
 
     def save(self, path) -> None:

@@ -62,8 +62,6 @@ def _universe_projection(obs: Fingerprint, rfm: ExtendedRfm,
 def dissimilarities(obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig,
                     wv: WeightVector | None = None) -> np.ndarray:
     """Weighted compound dissimilarity of ``obs`` against every reference point."""
-    if rfm.n_points == 0:
-        raise ValueError("the reference map is empty")
     if not obs.features and (rfm.entry_counts == 0).any():
         raise EmptyComparison("observation and some reference points are featureless")
     obs_vec, weights, base = _universe_projection(obs, rfm, wv, cfg)
@@ -72,30 +70,16 @@ def dissimilarities(obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig,
 
 
 def knn_locate(obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig,
-               wv: WeightVector | None = None, *, average: str = "mean") -> Location:
+               wv: WeightVector | None = None) -> Location:
     """Average of the k reference locations with the smallest dissimilarity.
 
     Without a weight vector every feature weighs 1. Ties rank by lower
-    reference index. ``average="inverse"`` weighs the k candidates by the
-    reciprocal of their dissimilarity instead of uniformly; exact matches
-    (zero dissimilarity) then split the estimate among themselves.
+    reference index.
     """
-    if average not in ("mean", "inverse"):
-        raise ValueError(f"unknown average {average!r}")
     d = dissimilarities(obs, rfm, cfg, wv)
     k = min(cfg.k, rfm.n_points)
     best = np.argsort(d, kind="stable")[:k]
-    points = rfm.locations[best]
-    if average == "mean":
-        x, y = points.mean(axis=0)
-    else:
-        dk = d[best]
-        exact = dk <= 0.0
-        if exact.any():
-            x, y = points[exact].mean(axis=0)
-        else:
-            w = 1.0 / dk
-            x, y = (points * w[:, None]).sum(axis=0) / w.sum()
+    x, y = rfm.locations[best].mean(axis=0)
     return Location(float(x), float(y))
 
 

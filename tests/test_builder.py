@@ -22,7 +22,6 @@ class TestBuilderConfig:
         assert CFG.bandwidth == 1.0
         assert CFG.mad_scale == pytest.approx(1.4826)
         assert CFG.sigma_floor == 0.5
-        assert CFG.grid_resolution == 0.5
 
     @pytest.mark.parametrize("kwargs", [
         {"max_neighbors": 0}, {"radius": 0.0}, {"bandwidth": -1.0},

@@ -144,6 +144,23 @@ class TestLocate:
         assert f"error: {bad}: invalid reference map:" in err
         assert "sigma" in err
 
+    @pytest.mark.parametrize("field, literal", [("v", "Infinity"), ("sigma", "NaN")])
+    def test_non_finite_map_entry_exits_1(self, workdir, tmp_path, capsys, field, literal):
+        bad = tmp_path / "nonfinite.json"
+        obj = json.loads((workdir / "map.json").read_text())
+        entry = obj["points"][3]["entries"][0]
+        entry[field] = float(literal.lower())
+        text = json.dumps(obj)
+        assert literal in text
+        bad.write_text(text)
+        code = run(["locate", "--rfm", str(bad), "--obs", str(workdir / "test.jsonl"),
+                    "--out", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {bad}: invalid reference map:" in err
+        assert f"feature {entry['id']!r} at reference point 3" in err
+        assert not (tmp_path / "o.jsonl").exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_1(self, workdir, tmp_path, capsys, threads):
         code = run(["locate", "--rfm", str(workdir / "map.json"),

@@ -1,15 +1,9 @@
-"""Batch dissimilarity kernel: backend parity and selection."""
+"""Batch dissimilarity kernel against a scalar oracle."""
 
 import numpy as np
 import pytest
 
 from rfmloc import _kernels
-from rfmloc._kernels import numpy_backend
-
-try:
-    from rfmloc._kernels import _cdm as cython_backend
-except ImportError:
-    cython_backend = None
 
 GAMMA = -110.0
 
@@ -53,55 +47,18 @@ class TestNumpyBackend:
     def test_matches_scalar_oracle(self, rng, p):
         for _ in range(80):
             case = random_case(rng, p=p)
-            got = numpy_backend.cdm_batch(*case)
+            got = _kernels.cdm_batch(*case)
             assert got == pytest.approx(scalar_oracle(*case), rel=1e-12, abs=1e-12)
 
     def test_all_missing_row_is_base_plus_obs_terms(self, rng):
         ref = np.full((1, 3), np.nan)
         obs = np.array([-60.0, np.nan, -70.0])
         w = np.ones(3)
-        got = numpy_backend.cdm_batch(ref, obs, w, 3.0, 3.0, GAMMA, 2.0, 5.0)
+        got = _kernels.cdm_batch(ref, obs, w, 3.0, 3.0, GAMMA, 2.0, 5.0)
         expected = 5.0 + 3 * (50.0 ** 2) + 3 * (40.0 ** 2)
         assert got[0] == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.skipif(cython_backend is None, reason="accelerator not built")
-class TestCythonBackend:
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-    def test_matches_numpy_backend_bitwise_for_integer_p(self, rng, p):
-        # both backends use the same operation order per feature, so the
-        # sums agree to floating round-off
-        for _ in range(80):
-            case = random_case(rng, p=p)
-            a = numpy_backend.cdm_batch(*case)
-            b = cython_backend.cdm_batch(*case)
-            assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
-
-    def test_large_batch(self, rng):
-        case = random_case(rng)
-        ref = np.ascontiguousarray(np.tile(case[0], (50, 1)))
-        got = cython_backend.cdm_batch(ref, *case[1:])
-        ref_np = numpy_backend.cdm_batch(ref, *case[1:])
-        assert got == pytest.approx(ref_np, rel=1e-12)
-
-
 class TestSelection:
     def test_module_exposes_backend_name(self):
-        assert _kernels.BACKEND in ("cython", "numpy")
-
-    def test_available_backends_reports_numpy_always(self):
-        avail = _kernels.available_backends()
-        assert callable(avail["numpy"])
-        if cython_backend is not None:
-            assert callable(avail["cython"])
-
-    def test_env_override_forces_numpy(self):
-        import importlib
-        import os
-        import subprocess
-        import sys
-        code = ("import rfmloc._kernels as k; print(k.BACKEND)")
-        out = subprocess.run([sys.executable, "-c", code],
-                             env={**os.environ, "RFMLOC_BACKEND": "numpy"},
-                             capture_output=True, text=True)
-        assert out.stdout.strip() == "numpy"
+        assert _kernels.BACKEND == "numpy"

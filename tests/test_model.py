@@ -156,6 +156,18 @@ class TestExtendedRfmSerialization:
         assert back.to_json() == rfm.to_json()
         assert back.entries_at(1) == [RfmEntry("a", -70.0, 2.0), RfmEntry("b", -80.0, 0.5)]
 
+    def test_loads_map_with_dropped_config_key(self):
+        # maps written before the builder's grid export knob was removed
+        # carry its key; it is ignored on load and dropped on save
+        rfm = make_rfm([[0.0, 0.0], [3.0, 4.0]], ["a"], [[-60.0], [-70.0]])
+        obj = json.loads(rfm.to_json())
+        legacy = {"grid_resolution": 0.5}
+        obj["config"].update(legacy)
+        back = ExtendedRfm.from_json(json.dumps(obj))
+        assert back.builder_config == BuilderConfig()
+        assert back.to_json() == rfm.to_json()
+        assert legacy.keys().isdisjoint(json.loads(back.to_json())["config"])
+
     def test_layers_must_align(self):
         with pytest.raises(ValueError):
             make_rfm([[0.0, 0.0]], ["a"], [[-60.0]], [[np.nan]])
@@ -266,6 +278,11 @@ class TestExtendedRfmValidation:
         text = json.dumps({"config": BuilderConfig().to_dict(), "points": []})
         with pytest.raises(ValueError, match="no reference points"):
             ExtendedRfm.from_json(text)
+
+    def test_rejects_zero_points(self):
+        with pytest.raises(ValueError, match="no reference points"):
+            ExtendedRfm(np.empty((0, 2)), ["a"], np.empty((0, 1)), np.empty((0, 1)),
+                        BuilderConfig())
 
 
 class TestPositioningConfigValidation:

@@ -91,20 +91,6 @@ class TestKnnLocate:
         got = knn_locate(make_fp({"a": -61.0}), rfm, PositioningConfig(k=10))
         assert (got.x, got.y) == pytest.approx((1.0, 0.0))
 
-    def test_inverse_average_weighs_by_closeness(self):
-        rfm = make_rfm([[0.0, 0.0], [10.0, 0.0]], ["a"], [[-60.0], [-70.0]])
-        obs = make_fp({"a": -62.0})
-        got = knn_locate(obs, rfm, PositioningConfig(k=2), average="inverse")
-        d0, d1 = 4.0, 64.0
-        expected_x = (0.0 / d0 + 10.0 / d1) / (1 / d0 + 1 / d1)
-        assert got.x == pytest.approx(expected_x, rel=1e-12)
-
-    def test_inverse_average_exact_match_takes_all(self):
-        rfm = make_rfm([[0.0, 0.0], [10.0, 0.0]], ["a"], [[-60.0], [-70.0]])
-        got = knn_locate(make_fp({"a": -60.0}), rfm,
-                         PositioningConfig(k=2), average="inverse")
-        assert got == Location(0.0, 0.0)
-
 
 class TestDetectTermination:
     def test_converging_pair(self):
