@@ -13,10 +13,9 @@ deviation and clamped below.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -136,10 +135,7 @@ def _median_filter_matrix(ids, locs, matrix, cfg) -> tuple[np.ndarray, list[np.n
             sel = _neighbor_indices(ids, locs, locs[j, 0], locs[j, 1],
                                     cfg.radius, cfg.max_neighbors)
             supports.append(sel)
-            block = matrix[sel]
-            observed = np.isfinite(block).any(axis=0)
-            med = np.nanmedian(block, axis=0)
-            filtered[j, observed] = med[observed]
+            filtered[j] = np.nanmedian(matrix[sel], axis=0)
     return filtered, supports
 
 
@@ -196,6 +192,21 @@ def _smooth_matrix(locs, filtered, cfg) -> np.ndarray:
     return np.where(present, smoothed, np.nan)
 
 
+def _spread(residuals: np.ndarray, cfg: BuilderConfig, estimator: str) -> np.ndarray:
+    """Per-feature spread of a (members, features) residual block with NaN
+    where a member has no residual: ``mad_scale`` times the median absolute
+    residual ("mad") or the sample standard deviation ("std"), clamped at
+    ``sigma_floor``. Features with fewer than two residuals get the floor."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # features with < 2 residuals
+        if estimator == "mad":
+            spread = cfg.mad_scale * np.nanmedian(np.abs(residuals), axis=0)
+        else:
+            spread = np.nanstd(residuals, axis=0, ddof=1)
+    enough = np.count_nonzero(np.isfinite(residuals), axis=0) >= 2
+    return np.where(enough, np.maximum(spread, cfg.sigma_floor), cfg.sigma_floor)
+
+
 def estimate_std(raw: RawRfm, smoothed_at: Callable[[Location], object],
                  center: Location, cfg: BuilderConfig) -> list[tuple[FeatureId, float]]:
     """Robust spread per feature at ``center``.
@@ -208,25 +219,17 @@ def estimate_std(raw: RawRfm, smoothed_at: Callable[[Location], object],
     than two residuals get the floor.
     """
     nb = neighborhood(raw, center, cfg)
-    residuals: dict[FeatureId, list[float]] = {}
-    for loc, rec in nb.members:
+    features = sorted({a for _, rec in nb.members for a in rec.features})
+    residuals = np.full((len(nb.members), len(features)), np.nan)
+    for m, (loc, rec) in enumerate(nb.members):
         smoothed = smoothed_at(loc)
         if not isinstance(smoothed, Mapping):
             smoothed = dict(smoothed)
-        for a, v in rec.features.items():
-            if a in smoothed:
-                residuals.setdefault(a, []).append(v - float(smoothed[a]))
-            else:
-                residuals.setdefault(a, [])
-    out: list[tuple[FeatureId, float]] = []
-    for a in sorted(residuals):
-        res = residuals[a]
-        if len(res) >= 2:
-            sigma = max(cfg.mad_scale * float(np.median(np.abs(res))), cfg.sigma_floor)
-        else:
-            sigma = cfg.sigma_floor
-        out.append((a, sigma))
-    return out
+        for f, a in enumerate(features):
+            if a in rec.features and a in smoothed:
+                residuals[m, f] = rec.features[a] - float(smoothed[a])
+    sigmas = _spread(residuals, cfg, "mad")
+    return [(a, float(sigma)) for a, sigma in zip(features, sigmas)]
 
 
 def build(raw: RawRfm, cfg: BuilderConfig | None = None, *,
@@ -252,25 +255,9 @@ def build(raw: RawRfm, cfg: BuilderConfig | None = None, *,
     # smoothed value always exists
     residual = np.where(np.isfinite(matrix), matrix - smoothed, np.nan)
 
-    n, nf = matrix.shape
-    sigmas = np.full_like(matrix, np.nan)
-    for j in range(n):
-        block = residual[supports[j]]
-        present = np.nonzero(np.isfinite(filtered[j]))[0]
-        for f in present:
-            res = block[:, f]
-            res = res[np.isfinite(res)]
-            if res.size >= 2:
-                if std_estimator == "mad":
-                    spread = cfg.mad_scale * float(np.median(np.abs(res)))
-                else:
-                    spread = float(np.std(res, ddof=1))
-                sigmas[j, f] = max(spread, cfg.sigma_floor)
-            else:
-                sigmas[j, f] = cfg.sigma_floor
-
-    values = np.where(np.isfinite(filtered), smoothed, np.nan)
-    return ExtendedRfm(locs, feature_ids, values, sigmas, cfg)
+    sigmas = np.array([_spread(residual[sel], cfg, std_estimator) for sel in supports])
+    sigmas[~np.isfinite(filtered)] = np.nan
+    return ExtendedRfm(locs, feature_ids, smoothed, sigmas, cfg)
 
 
 def residual_field(raw: RawRfm, rfm: ExtendedRfm) -> list[tuple[Location, FeatureId, float]]:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from rfmloc import evaluate
 from rfmloc.builder import BuilderConfig, build
+from rfmloc.dissim import EmptyComparison
 from rfmloc.model import (DataError, ExtendedRfm, PositioningConfig,
                           read_estimates, read_fingerprints, write_estimates,
                           write_fingerprints)
@@ -118,8 +119,11 @@ def _cmd_locate(args) -> int:
     cfg = _layer_config(PositioningConfig, args.config, _positioning_overrides(args))
     rfm = ExtendedRfm.load(args.rfm)
     observations = read_fingerprints(args.obs, missing_value=cfg.missing_value)
-    estimates = locate_batch(observations, rfm, cfg, method=args.method,
-                             threads=args.threads)
+    try:
+        estimates = locate_batch(observations, rfm, cfg, method=args.method,
+                                 threads=args.threads)
+    except EmptyComparison as exc:
+        raise DataError(str(exc), source=args.obs) from None
     write_estimates(args.out, estimates)
     print(f"located {len(estimates)} queries ({args.method}) into {args.out}")
     return 0

@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping, Sequence
 
 from rfmloc.model import Location, PositionEstimate, Termination
+from rfmloc.positioner import loop_diameter
 
 
 class LengthMismatch(ValueError):
@@ -76,12 +76,7 @@ def loop_diameters(estimates: Sequence[PositionEstimate]) -> list[float]:
     Covers every estimate that detected a loop, whichever way the loop was
     then resolved; runs without loops yield an empty list.
     """
-    out: list[float] = []
-    for est in estimates:
-        if est.loop_points:
-            out.append(max((a.distance_to(b)
-                            for a, b in combinations(est.loop_points, 2)), default=0.0))
-    return out
+    return [loop_diameter(est.loop_points) for est in estimates if est.loop_points]
 
 
 def error_map(estimates: Sequence[PositionEstimate],

@@ -63,7 +63,8 @@ def dissimilarities(obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig,
                     wv: WeightVector | None = None) -> np.ndarray:
     """Weighted compound dissimilarity of ``obs`` against every reference point."""
     if not obs.features and (rfm.entry_counts == 0).any():
-        raise EmptyComparison("observation and some reference points are featureless")
+        raise EmptyComparison(f"query {obs.id} has no features and the map has "
+                              "reference points without any")
     obs_vec, weights, base = _universe_projection(obs, rfm, wv, cfg)
     return _kernels.cdm_batch(rfm.values, obs_vec, weights, cfg.alpha1, cfg.alpha2,
                               cfg.missing_value, cfg.minkowski_p, base)
@@ -120,7 +121,7 @@ def detect_termination(estimates: Sequence[Location],
     return None
 
 
-def _extract_loop(estimates: Sequence[Location], cfg: PositioningConfig) -> tuple[Location, ...]:
+def _extract_loop(estimates: Sequence[Location]) -> tuple[Location, ...]:
     """The cycle the iteration fell into: from the matched earlier estimate
     up to, and excluding, the revisit that closed it."""
     current = estimates[-1]
@@ -129,7 +130,8 @@ def _extract_loop(estimates: Sequence[Location], cfg: PositioningConfig) -> tupl
     return tuple(estimates[matched:-1])
 
 
-def _loop_diameter(points: Sequence[Location]) -> float:
+def loop_diameter(points: Sequence[Location]) -> float:
+    """Greatest pairwise distance among ``points``; 0 for fewer than two."""
     return max((a.distance_to(b) for a, b in combinations(points, 2)), default=0.0)
 
 
@@ -245,7 +247,7 @@ def resolve_state(state: Termination, path: Sequence[Location],
     kept_loop = tuple(loop_points) if loop_points else None
     if (state is Termination.LOOPING and kept_loop is not None
             and len(kept_loop) >= cfg.loop_min_points
-            and _loop_diameter(kept_loop) <= cfg.loop_max_diameter):
+            and loop_diameter(kept_loop) <= cfg.loop_max_diameter):
         center = mcd_center(kept_loop)
         return PositionEstimate(center, Termination.LOOPING, iterations, path,
                                 kept_loop, obs.id)
@@ -290,7 +292,7 @@ def iterate_locate(obs: Fingerprint, rfm: ExtendedRfm,
         state = detect_termination(estimates, cfg)
         if state is not None:
             break
-    loop_points = _extract_loop(estimates, cfg) if state is Termination.LOOPING else None
+    loop_points = _extract_loop(estimates) if state is Termination.LOOPING else None
     return resolve_state(state, path, loop_points, obs, rfm, cfg, queried)
 
 

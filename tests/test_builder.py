@@ -1,6 +1,7 @@
 """Reference map construction: filtering, smoothing, deviation layers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -305,3 +306,120 @@ class TestBuild:
                       for e in rfm.entries_at(point_index[(loc.x, loc.y)])}
             assert r == pytest.approx(by_loc[(loc.x, loc.y)][fid] - stored[fid],
                                       abs=1e-9)
+
+
+# ------------------------------------------------------------ layer oracles
+# Per-record and per-(record, feature) copies of the filter and spread
+# rules, kept as references for the column-wise builder.
+
+def _dense_survey(raw):
+    feature_ids = sorted({a for rec in raw.records for a in rec.features})
+    matrix = np.array([[rec.features.get(a, np.nan) for a in feature_ids]
+                       for rec in raw.records], dtype=float)
+    return feature_ids, matrix.reshape(len(raw.records), len(feature_ids))
+
+
+def _oracle_supports(raw, cfg):
+    ids = np.array([rec.id for rec in raw.records])
+    locs = np.array([[rec.location.x, rec.location.y] for rec in raw.records])
+    supports = []
+    for x, y in locs:
+        d = np.hypot(locs[:, 0] - x, locs[:, 1] - y)
+        within = np.nonzero(d <= cfg.radius)[0]
+        supports.append(within[np.lexsort((ids[within], d[within]))][:cfg.max_neighbors])
+    return supports
+
+
+def _oracle_median_filter(matrix, supports):
+    filtered = np.full_like(matrix, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for j, sel in enumerate(supports):
+            block = matrix[sel]
+            observed = np.isfinite(block).any(axis=0)
+            med = np.nanmedian(block, axis=0)
+            filtered[j, observed] = med[observed]
+    return filtered
+
+
+def _oracle_sigmas(matrix, filtered, smoothed, supports, cfg, std_estimator):
+    residual = np.where(np.isfinite(matrix), matrix - smoothed, np.nan)
+    sigmas = np.full_like(matrix, np.nan)
+    for j, sel in enumerate(supports):
+        block = residual[sel]
+        for f in np.nonzero(np.isfinite(filtered[j]))[0]:
+            res = block[:, f]
+            res = res[np.isfinite(res)]
+            if res.size >= 2:
+                if std_estimator == "mad":
+                    spread = cfg.mad_scale * float(np.median(np.abs(res)))
+                else:
+                    spread = float(np.std(res, ddof=1))
+                sigmas[j, f] = max(spread, cfg.sigma_floor)
+            else:
+                sigmas[j, f] = cfg.sigma_floor
+    return sigmas
+
+
+def _oracle_survey(seed, n, extent):
+    """Random survey plus a record that heard nothing and a feature "z"
+    heard by one record only, so every support holding that record has
+    exactly one "z" residual."""
+    rng = np.random.default_rng(seed)
+    pts = {}
+    for x, y in rng.uniform(0, extent, size=(n, 2)):
+        pts[(float(x), float(y))] = {f: float(rng.uniform(-95, -45))
+                                     for f in "abcdef" if rng.random() < 0.6}
+    pts[(0.0, 0.0)] = {}
+    pts[(extent / 2, extent / 2)] = {"a": -70.0, "z": -80.0}
+    return grid_raw(pts)
+
+
+# (records, extent, radius, max_neighbors); the last case puts all 652
+# records in every support, past the 600-element size at which numpy's
+# nanmedian changes algorithm
+ORACLE_CASES = [(80, 12.0, 1.0, 4), (80, 12.0, 2.0, 20), (80, 12.0, 3.0, 20),
+                (650, 3.0, 10.0, 700)]
+
+
+class TestLayerOracles:
+    @pytest.mark.parametrize("n, extent, radius, cap", ORACLE_CASES)
+    def test_filter_and_spread_equal_per_record_loops(self, n, extent, radius, cap):
+        raw = _oracle_survey(11, n, extent)
+        cfg = BuilderConfig(radius=radius, max_neighbors=cap)
+        feature_ids, matrix = _dense_survey(raw)
+        supports = _oracle_supports(raw, cfg)
+        filtered = _oracle_median_filter(matrix, supports)
+
+        out = spatial_median_filter(raw, cfg)
+        for j, rec in enumerate(out.records):
+            present = np.nonzero(np.isfinite(filtered[j]))[0]
+            assert rec.features == {feature_ids[f]: filtered[j, f] for f in present}
+
+        mad = build(raw, cfg)
+        assert list(mad.feature_ids) == feature_ids
+        np.testing.assert_array_equal(
+            mad.sigmas, _oracle_sigmas(matrix, filtered, mad.values, supports, cfg, "mad"))
+
+        std = build(raw, cfg, std_estimator="std")
+        expected = _oracle_sigmas(matrix, filtered, std.values, supports, cfg, "std")
+        np.testing.assert_array_equal(np.isnan(std.sigmas), np.isnan(expected))
+        np.testing.assert_allclose(std.sigmas, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n, extent, radius, cap", ORACLE_CASES[:3])
+    def test_estimate_std_equals_build_sigmas(self, n, extent, radius, cap):
+        raw = _oracle_survey(12, n, extent)
+        cfg = BuilderConfig(radius=radius, max_neighbors=cap)
+        rfm = build(raw, cfg)
+        filtered = spatial_median_filter(raw, cfg)
+        smoothed = {}
+
+        def smoothed_at(loc):
+            if loc not in smoothed:
+                smoothed[loc] = dict(kernel_smooth(filtered, loc, cfg))
+            return smoothed[loc]
+
+        for j, rec in enumerate(raw.records):
+            present = np.nonzero(np.isfinite(rfm.sigmas[j]))[0]
+            expected = {rfm.feature_ids[f]: rfm.sigmas[j, f] for f in present}
+            assert dict(estimate_std(raw, smoothed_at, rec.location, cfg)) == expected

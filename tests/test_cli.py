@@ -170,6 +170,23 @@ class TestLocate:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "o.jsonl").exists()
 
+    @pytest.mark.parametrize("method", ["iterative", "knn", "cdm"])
+    def test_featureless_query_against_empty_point_exits_1(self, workdir, tmp_path,
+                                                           capsys, method):
+        holey = tmp_path / "holey.json"
+        obj = json.loads((workdir / "map.json").read_text())
+        obj["points"][0]["entries"] = []
+        holey.write_text(json.dumps(obj))
+        obs = tmp_path / "featureless.jsonl"
+        obs.write_text('{"id": 0, "x": null, "y": null, "features": {}}\n')
+        code = run(["locate", "--rfm", str(holey), "--obs", str(obs),
+                    "--out", str(tmp_path / "o.jsonl"), "--method", method])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {obs}: query 0 ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_bad_observation_file_exits_1(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": 0, "x": null, "y": null, "features": {"a": -60}}\n'
