@@ -9,6 +9,12 @@ estimated robustly per location: the median of absolute residuals between
 the raw values in the neighborhood and the smoothed layer at each
 record's own position, scaled to be consistent with a normal standard
 deviation and clamped below.
+
+The filter and the spread stage both reduce over the same supports. Every
+record's support is gathered once into a padded index matrix, and both
+stages run over (records, support, features) blocks of it, a bounded
+number of records at a time, so memory stays flat however large
+``max_neighbors`` is.
 """
 
 from __future__ import annotations
@@ -21,6 +27,11 @@ import numpy as np
 
 from rfmloc.model import (ExtendedRfm, FeatureId, Fingerprint, Location, RawRfm,
                           gaussian_nw, nearest_carriers_nw)
+
+
+# Values per gathered (records, support, features) block, 256 KB of
+# float64; the number of records per block follows from it.
+_BLOCK_VALUES = 1 << 15
 
 
 class EmptyNeighborhood(ValueError):
@@ -125,18 +136,43 @@ def neighborhood(raw: RawRfm, center: Location, cfg: BuilderConfig) -> Neighborh
     return Neighborhood(center, members)
 
 
-def _median_filter_matrix(ids, locs, matrix, cfg) -> tuple[np.ndarray, list[np.ndarray]]:
-    n = matrix.shape[0]
-    filtered = np.full_like(matrix, np.nan)
-    supports: list[np.ndarray] = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN feature columns
-        for j in range(n):
-            sel = _neighbor_indices(ids, locs, locs[j, 0], locs[j, 1],
-                                    cfg.radius, cfg.max_neighbors)
-            supports.append(sel)
-            filtered[j] = np.nanmedian(matrix[sel], axis=0)
-    return filtered, supports
+def _filter_supports(ids, locs, cfg) -> np.ndarray:
+    """Every record's filter support as one (n, S) index matrix, S the
+    largest support. Shorter rows are padded with index n, which
+    :func:`_over_supports` points at an all-NaN row."""
+    sels = [_neighbor_indices(ids, locs, x, y, cfg.radius, cfg.max_neighbors)
+            for x, y in locs]
+    n = len(sels)
+    supports = np.full((n, max(sel.size for sel in sels)), n, dtype=np.intp)
+    for j, sel in enumerate(sels):
+        supports[j, :sel.size] = sel
+    return supports
+
+
+def _over_supports(reduce, matrix: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Row j of the result is ``reduce`` of the (support, features) block
+    ``matrix[supports[j]]``, padding rows reading NaN. ``reduce`` takes a
+    (records, support, features) block and reduces over axis 1; it sees at
+    most ``_BLOCK_VALUES`` values at once, or one record's block when that
+    alone is larger."""
+    n, n_features = matrix.shape
+    padded = np.vstack([matrix, np.full((1, n_features), np.nan)])
+    rows = max(1, _BLOCK_VALUES // (supports.shape[1] * max(n_features, 1)))
+    return np.concatenate([reduce(padded[supports[start:start + rows]])
+                           for start in range(0, supports.shape[0], rows)])
+
+
+def _median(block: np.ndarray) -> np.ndarray:
+    """Median over axis -2, ignoring NaN, NaN where a column has no value.
+
+    The arithmetic of ``np.nanmedian``: sort (NaN last), then sum the two
+    middle order statistics, which coincide for an odd count, and halve.
+    The results are equal bit for bit, signed zeros included."""
+    ordered = np.sort(block, axis=-2)
+    count = np.count_nonzero(~np.isnan(ordered), axis=-2)
+    middle = np.stack([np.maximum(count - 1, 0) // 2, count // 2], axis=-2)
+    halved = np.take_along_axis(ordered, middle, axis=-2).sum(axis=-2) / 2
+    return np.where(count > 0, halved, np.nan)
 
 
 def spatial_median_filter(raw: RawRfm, cfg: BuilderConfig) -> RawRfm:
@@ -146,7 +182,7 @@ def spatial_median_filter(raw: RawRfm, cfg: BuilderConfig) -> RawRfm:
     neighborhood member observed it, so coverage can only grow.
     """
     ids, locs, feature_ids, matrix = _record_layers(raw)
-    filtered, _ = _median_filter_matrix(ids, locs, matrix, cfg)
+    filtered = _over_supports(_median, matrix, _filter_supports(ids, locs, cfg))
     records = []
     for j, rec in enumerate(raw.records):
         present = np.nonzero(np.isfinite(filtered[j]))[0]
@@ -193,17 +229,18 @@ def _smooth_matrix(locs, filtered, cfg) -> np.ndarray:
 
 
 def _spread(residuals: np.ndarray, cfg: BuilderConfig, estimator: str) -> np.ndarray:
-    """Per-feature spread of a (members, features) residual block with NaN
-    where a member has no residual: ``mad_scale`` times the median absolute
+    """Per-feature spread over the members axis (-2) of a residual block,
+    (members, features) or (records, members, features), with NaN where a
+    member has no residual: ``mad_scale`` times the median absolute
     residual ("mad") or the sample standard deviation ("std"), clamped at
     ``sigma_floor``. Features with fewer than two residuals get the floor."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # features with < 2 residuals
-        if estimator == "mad":
-            spread = cfg.mad_scale * np.nanmedian(np.abs(residuals), axis=0)
-        else:
-            spread = np.nanstd(residuals, axis=0, ddof=1)
-    enough = np.count_nonzero(np.isfinite(residuals), axis=0) >= 2
+    if estimator == "mad":
+        spread = cfg.mad_scale * _median(np.abs(residuals))
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # features with < 2 residuals
+            spread = np.nanstd(residuals, axis=-2, ddof=1)
+    enough = np.count_nonzero(np.isfinite(residuals), axis=-2) >= 2
     return np.where(enough, np.maximum(spread, cfg.sigma_floor), cfg.sigma_floor)
 
 
@@ -247,7 +284,8 @@ def build(raw: RawRfm, cfg: BuilderConfig | None = None, *,
     if cfg is None:
         cfg = BuilderConfig()
     ids, locs, feature_ids, matrix = _record_layers(raw)
-    filtered, supports = _median_filter_matrix(ids, locs, matrix, cfg)
+    supports = _filter_supports(ids, locs, cfg)
+    filtered = _over_supports(_median, matrix, supports)
     smoothed = _smooth_matrix(locs, filtered, cfg)
 
     # residual of every raw observation against the smoothed layer at its
@@ -255,7 +293,8 @@ def build(raw: RawRfm, cfg: BuilderConfig | None = None, *,
     # smoothed value always exists
     residual = np.where(np.isfinite(matrix), matrix - smoothed, np.nan)
 
-    sigmas = np.array([_spread(residual[sel], cfg, std_estimator) for sel in supports])
+    sigmas = _over_supports(lambda block: _spread(block, cfg, std_estimator), residual,
+                            supports)
     sigmas[~np.isfinite(filtered)] = np.nan
     return ExtendedRfm(locs, feature_ids, smoothed, sigmas, cfg)
 

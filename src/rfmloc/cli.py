@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -65,7 +66,26 @@ def _layer_config(cls, config_path, overrides: dict):
         raise DataError(str(exc), source=config_path) from None
 
 
+def _check_synth_flags(args) -> None:
+    """Reject the flag values the generator refuses, naming the flag."""
+    rules = (
+        ("--roi-width", args.roi_width, math.isfinite(args.roi_width) and args.roi_width >= 0,
+         "finite and at least 0"),
+        ("--roi-height", args.roi_height,
+         math.isfinite(args.roi_height) and args.roi_height >= 0, "finite and at least 0"),
+        ("--passes", args.passes, args.passes >= 1, "at least 1"),
+        ("--spacing", args.spacing, args.spacing > 0, "positive"),
+        ("--speed", args.speed, args.speed > 0, "positive"),
+        ("--contamination", args.contamination, 0 <= args.contamination < 1,
+         "at least 0 and below 1"),
+    )
+    for flag, value, ok, requirement in rules:
+        if not ok:
+            raise DataError(f"{flag} must be {requirement}, got {value}")
+
+
 def _cmd_synth(args) -> int:
+    _check_synth_flags(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     env = make_environment(args.seed, width=args.roi_width, height=args.roi_height,

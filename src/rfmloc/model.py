@@ -426,12 +426,14 @@ class ExtendedRfm:
                 for f, v, s in zip(features.tolist(), values.tolist(), sigmas.tolist())]
 
     def to_json(self) -> str:
+        fids = self._feature_ids
         points = []
-        for j in range(self.n_points):
-            x, y = self._locations[j]
-            entries = [{"id": e.feature, "v": e.value, "sigma": e.sigma}
-                       for e in self.entries_at(j)]
-            points.append({"x": float(x), "y": float(y), "entries": entries})
+        for (x, y), present, values, sigmas in zip(
+                self._locations.tolist(), self._present.tolist(),
+                self._values.tolist(), self._sigmas.tolist()):
+            entries = [{"id": fid, "v": v, "sigma": s}
+                       for fid, p, v, s in zip(fids, present, values, sigmas) if p]
+            points.append({"x": x, "y": y, "entries": entries})
         return json.dumps({"config": self._config.to_dict(), "points": points})
 
     @classmethod

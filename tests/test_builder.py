@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rfmloc import builder
 from rfmloc.builder import (BuilderConfig, EmptyNeighborhood, build,
                             estimate_std, kernel_smooth, neighborhood,
                             residual_field, spatial_median_filter)
@@ -423,3 +424,76 @@ class TestLayerOracles:
             present = np.nonzero(np.isfinite(rfm.sigmas[j]))[0]
             expected = {rfm.feature_ids[f]: rfm.sigmas[j, f] for f in present}
             assert dict(estimate_std(raw, smoothed_at, rec.location, cfg)) == expected
+
+    @pytest.mark.parametrize("block_values", [None, 997, 50])
+    def test_chunked_build_equals_oracles(self, monkeypatch, block_values):
+        # a survey spanning several blocks, its record count no multiple of
+        # the records per block; 50 values leave one record per block
+        if block_values is not None:
+            monkeypatch.setattr(builder, "_BLOCK_VALUES", block_values)
+        raw = _oracle_survey(13, 599, 18.0)
+        cfg = BuilderConfig(radius=2.0, max_neighbors=20)
+        feature_ids, matrix = _dense_survey(raw)
+        supports = _oracle_supports(raw, cfg)
+        width = max(sel.size for sel in supports)
+        rows = max(1, builder._BLOCK_VALUES // (width * len(feature_ids)))
+        assert len(raw.records) > rows and (rows == 1 or len(raw.records) % rows)
+
+        filtered = _oracle_median_filter(matrix, supports)
+        mad = build(raw, cfg)
+        np.testing.assert_array_equal(np.isnan(mad.values), np.isnan(filtered))
+        np.testing.assert_array_equal(
+            mad.sigmas, _oracle_sigmas(matrix, filtered, mad.values, supports, cfg, "mad"))
+        std = build(raw, cfg, std_estimator="std")
+        expected = _oracle_sigmas(matrix, filtered, std.values, supports, cfg, "std")
+        np.testing.assert_array_equal(np.isnan(std.sigmas), np.isnan(expected))
+        np.testing.assert_allclose(std.sigmas, expected, rtol=1e-12, atol=0.0)
+
+    def test_survey_without_features(self):
+        raw = grid_raw({(float(i), 0.0): {} for i in range(5)})
+        rfm = build(raw)
+        assert (rfm.n_points, rfm.feature_ids) == (5, ())
+        assert rfm.values.shape == rfm.sigmas.shape == (5, 0)
+        assert all(not rec.features for rec in spatial_median_filter(raw, CFG).records)
+
+
+class TestBlockMedian:
+    """``builder._median`` against ``np.nanmedian`` over the same axis."""
+
+    @staticmethod
+    def _expected(block):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
+            return np.nanmedian(block, axis=-2)
+
+    @staticmethod
+    def _assert_same(got, expected):
+        np.testing.assert_array_equal(got, expected)  # NaN in the same places
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+    # support widths on both sides of 600, where nanmedian changes algorithm
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 7, 20, 599, 600, 601, 700])
+    def test_equals_nanmedian(self, rng, width):
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+            # few distinct values, so columns repeat values and mix 0.0 with -0.0
+            pool = np.array([-0.0, 0.0, -60.0, -61.5, -72.25, 3.0, 1e-300])
+            block = rng.choice(pool, size=(6, width, 5))
+            block[rng.random(block.shape) >= density] = np.nan
+            block[0, :, 0] = np.nan  # an all-NaN column
+            block[1, :, 1] = np.nan
+            block[1, width // 2, 1] = -0.0  # one finite value
+            self._assert_same(builder._median(block), self._expected(block))
+            for j in range(block.shape[0]):  # one 2-D (members, features) block
+                self._assert_same(builder._median(block[j]), self._expected(block[j]))
+
+    def test_even_and_odd_counts(self, rng):
+        for count in range(1, 12):
+            block = np.full((3, 12, 4), np.nan)
+            block[:, :count] = rng.uniform(-90.0, -40.0, size=(3, count, 4))
+            block = rng.permuted(block, axis=1)
+            got = builder._median(block)
+            np.testing.assert_array_equal(got, self._expected(block))
+            assert np.isfinite(got).all()
+
+    def test_no_features(self):
+        assert builder._median(np.empty((3, 5, 0))).shape == (3, 0)

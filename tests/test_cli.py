@@ -38,6 +38,17 @@ class TestSynth:
         assert run(["synth", "--seed", "4", "--out-dir", str(b), "--passes", "1"]) == 0
         assert (a / "raw.jsonl").read_bytes() != (b / "raw.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [("--spacing", "0"), ("--passes", "0"),
+                                             ("--roi-width", "-5"),
+                                             ("--contamination", "2")])
+    def test_invalid_flag_exits_1(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert run(["synth", "--seed", "3", "--out-dir", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestBuild:
     def test_map_readable(self, workdir):
@@ -62,6 +73,16 @@ class TestBuild:
         # flag beats file, file beats default
         assert obj["config"]["radius"] == 2.5
         assert obj["config"]["ks_neighbors"] == 10
+
+    def test_survey_without_features_builds(self, tmp_path):
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text("".join(json.dumps({"id": i, "x": float(i), "y": 0.0, "features": {}})
+                               + "\n" for i in range(4)))
+        out = tmp_path / "map.json"
+        assert run(["build", "--raw", str(raw), "--out", str(out)]) == 0
+        from rfmloc.model import ExtendedRfm
+        rfm = ExtendedRfm.load(out)
+        assert (rfm.n_points, rfm.feature_ids) == (4, ())
 
     def test_unknown_config_key_exits_1(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "b.cfg"

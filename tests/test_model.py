@@ -156,6 +156,32 @@ class TestExtendedRfmSerialization:
         assert back.to_json() == rfm.to_json()
         assert back.entries_at(1) == [RfmEntry("a", -70.0, 2.0), RfmEntry("b", -80.0, 0.5)]
 
+    @staticmethod
+    def _reference_to_json(rfm):
+        """The per-entry serializer ``to_json`` replaced, kept as its oracle."""
+        points = []
+        for j in range(rfm.n_points):
+            x, y = rfm.locations[j]
+            entries = [{"id": e.feature, "v": e.value, "sigma": e.sigma}
+                       for e in rfm.entries_at(j)]
+            points.append({"x": float(x), "y": float(y), "entries": entries})
+        return json.dumps({"config": rfm.builder_config.to_dict(), "points": points})
+
+    @pytest.mark.parametrize("density", [0.3, 0.8, 1.0])
+    def test_to_json_equals_per_entry_serializer(self, rng, density):
+        rfm = random_rfm(rng, 40, 6, density=density)
+        ids = ['a"quote', "back\\slash", "new\nline", "caf\u00e9", "\u2603", "tab\t"]
+        locations = rfm.locations.copy()
+        locations[:3] = [[-0.0, 0.0], [0.0, -0.0], [1e-300, 123456789.123]]
+        values = rfm.values.copy()
+        values[np.isfinite(values) & (rng.random(values.shape) < 0.1)] = -0.0
+        values[0, 0], values[1, 1] = -0.0, 0.0
+        sigmas = np.where(np.isfinite(values), rng.uniform(0.5, 9.0, values.shape), np.nan)
+        rfm = make_rfm(locations, ids, values, sigmas)
+        text = rfm.to_json()
+        assert text == self._reference_to_json(rfm)
+        assert '"v": -0.0' in text and '"x": -0.0' in text
+
     def test_loads_map_with_dropped_config_key(self):
         # maps written before the builder's grid export knob was removed
         # carry its key; it is ignored on load and dropped on save
