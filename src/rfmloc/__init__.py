@@ -1,6 +1,6 @@
 """Variability-aware fingerprint maps and iterative weighted positioning."""
 
-from rfmloc.builder import BuilderConfig, Neighborhood, build, estimate_std, kernel_smooth, neighborhood, residual_field, spatial_median_filter
+from rfmloc.builder import BuilderConfig, Neighborhood, build, estimate_std, kernel_smooth, neighborhood, spatial_median_filter
 from rfmloc.dissim import WeightVector, feature_distance, mji, softmax_weights, weighted_cdm
 from rfmloc.evaluate import circular_error, compare_report, ecdf, loop_diameters, opt_errors, radial_errors, tf_stats
 from rfmloc.model import (ExtendedRfm, FeatureId, Fingerprint, Location,
@@ -24,7 +24,7 @@ __all__ = [
     "expected_rss", "feature_distance", "generate_dataset", "initial_location",
     "iterate_locate", "kernel_smooth", "knn_locate", "locate_batch",
     "loop_diameters", "make_environment", "mcd_center", "mji", "neighborhood",
-    "opt_errors", "radial_errors", "resolve_state", "residual_field",
+    "opt_errors", "radial_errors", "resolve_state",
     "sample_fingerprint", "softmax_weights", "spatial_median_filter",
     "tf_stats", "weighted_cdm",
 ]

@@ -36,7 +36,7 @@ def cdm_batch(ref: np.ndarray, obs: np.ndarray, weights: np.ndarray,
     ref_only = ref_present & ~obs_present
 
     shared_diff = np.where(shared, obs - ref, 0.0)
-    obs_diff = np.where(obs_only, np.where(obs_present, obs - missing_value, 0.0), 0.0)
+    obs_diff = np.where(obs_only, obs - missing_value, 0.0)
     ref_diff = np.where(ref_only, missing_value - ref, 0.0)
 
     out = (weights * _minkowski(shared_diff, p)).sum(axis=1)

@@ -19,8 +19,9 @@ number of records at a time, so memory stays flat however large
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Mapping
 
 import numpy as np
@@ -58,6 +59,10 @@ class BuilderConfig:
     sigma_floor: float = 0.5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.max_neighbors < 1:
             raise ValueError("max_neighbors must be at least 1")
         if self.radius <= 0:
@@ -72,25 +77,12 @@ class BuilderConfig:
             raise ValueError("sigma_floor must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "max_neighbors": self.max_neighbors,
-            "radius": self.radius,
-            "ks_neighbors": self.ks_neighbors,
-            "bandwidth": self.bandwidth,
-            "mad_scale": self.mad_scale,
-            "sigma_floor": self.sigma_floor,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "BuilderConfig":
-        return cls(
-            max_neighbors=int(obj["max_neighbors"]),
-            radius=float(obj["radius"]),
-            ks_neighbors=int(obj["ks_neighbors"]),
-            bandwidth=float(obj["bandwidth"]),
-            mad_scale=float(obj["mad_scale"]),
-            sigma_floor=float(obj["sigma_floor"]),
-        )
+        coerce = {"int": int, "float": float}
+        return cls(**{f.name: coerce[f.type](obj[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -298,21 +290,3 @@ def build(raw: RawRfm, cfg: BuilderConfig | None = None, *,
     sigmas[~np.isfinite(filtered)] = np.nan
     return ExtendedRfm(locs, feature_ids, smoothed, sigmas, cfg)
 
-
-def residual_field(raw: RawRfm, rfm: ExtendedRfm) -> list[tuple[Location, FeatureId, float]]:
-    """Raw-minus-map residuals for every (record, feature) pair present in both.
-
-    Record locations matching a reference point exactly use its stored
-    entries; anywhere else the continuous query provides the map value.
-    """
-    by_location = {(float(x), float(y)): j for j, (x, y) in enumerate(rfm.locations)}
-    out: list[tuple[Location, FeatureId, float]] = []
-    for rec in raw.records:
-        loc = rec.location
-        j = by_location.get((loc.x, loc.y))
-        entries = rfm.entries_at(j) if j is not None else rfm.query(loc)
-        values = {e.feature: e.value for e in entries}
-        for a, v in rec.features.items():
-            if a in values:
-                out.append((loc, a, v - values[a]))
-    return out

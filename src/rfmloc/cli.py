@@ -1,8 +1,9 @@
 """Command line interface: synth, build, locate, eval, report.
 
-Exit codes: 0 on success, 1 on data errors (with a file and line
-diagnostic on stderr), 2 on usage errors. Values given as flags override
-the config file, which overrides the built-in defaults.
+Exit codes: 0 on success, 1 on bad or unreadable input (one
+``error: <file>[:<line>]: ...`` line on stderr), 2 on usage errors.
+Values given as flags override the config file, which overrides the
+built-in defaults.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from pathlib import Path
 from rfmloc import evaluate
 from rfmloc.builder import BuilderConfig, build
 from rfmloc.dissim import EmptyComparison
-from rfmloc.model import (DataError, ExtendedRfm, PositioningConfig,
-                          read_estimates, read_fingerprints, write_estimates,
+from rfmloc.model import (DataError, ExtendedRfm, PositioningConfig, RawRfm,
+                          read_estimates, read_fingerprints, read_lines, write_estimates,
                           write_fingerprints)
 from rfmloc.positioner import locate_batch
 from rfmloc.synth import SurveyPlan, generate_dataset, make_environment
@@ -27,39 +28,30 @@ from rfmloc.synth import SurveyPlan, generate_dataset, make_environment
 _WEIGHT_FORMS = {"paper": "paper_verbatim", "precision": "precision_softmax"}
 
 
-def _read_kv_config(path) -> dict[str, str]:
-    """Parse a plain-text config file of ``key = value`` lines."""
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise DataError(f"expected 'key = value', got {stripped!r}",
-                                source=path, line=lineno)
-            key, _, value = stripped.partition("=")
-            out[key.strip()] = value.strip()
-    return out
-
-
 def _layer_config(cls, config_path, overrides: dict):
-    """Build a config dataclass from defaults, then file values, then flags."""
+    """Build a config dataclass from defaults, then file values, then flags.
+
+    The file holds ``key = value`` lines; blank lines and lines starting
+    with ``#`` are ignored.
+    """
     coercers = {"int": int, "float": float, "str": str}
     spec = {f.name: coercers[f.type] for f in fields(cls)}
-    values: dict = {}
-    if config_path is not None:
-        for key, raw in _read_kv_config(config_path).items():
-            if key not in spec:
-                raise DataError(f"unknown config key {key!r}", source=config_path)
-            try:
-                values[key] = spec[key](raw)
-            except ValueError:
-                raise DataError(f"bad value for {key!r}: {raw!r}",
-                                source=config_path) from None
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
+
+    def parse(line: str):
+        if line.startswith("#"):
+            return None
+        key, sep, raw = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise ValueError(f"expected 'key = value', got {line!r}")
+        if key not in spec:
+            raise ValueError(f"unknown config key {key!r}")
+        try:
+            return key, spec[key](raw)
+        except ValueError:
+            raise ValueError(f"bad value for {key!r}: {raw!r}") from None
+
+    values = dict(read_lines(config_path, parse)) if config_path is not None else {}
+    values.update((key, value) for key, value in overrides.items() if value is not None)
     try:
         return cls(**values)
     except ValueError as exc:
@@ -73,9 +65,9 @@ def _check_synth_flags(args) -> None:
          "finite and at least 0"),
         ("--roi-height", args.roi_height,
          math.isfinite(args.roi_height) and args.roi_height >= 0, "finite and at least 0"),
+        ("--n-aps", args.n_aps, args.n_aps >= 1, "at least 1"),
         ("--passes", args.passes, args.passes >= 1, "at least 1"),
         ("--spacing", args.spacing, args.spacing > 0, "positive"),
-        ("--speed", args.speed, args.speed > 0, "positive"),
         ("--contamination", args.contamination, 0 <= args.contamination < 1,
          "at least 0 and below 1"),
     )
@@ -90,8 +82,7 @@ def _cmd_synth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     env = make_environment(args.seed, width=args.roi_width, height=args.roi_height,
                            n_aps=args.n_aps, contamination=args.contamination)
-    plan = SurveyPlan(seed=args.seed, n_passes=args.passes, speed=args.speed,
-                      sample_spacing=args.spacing)
+    plan = SurveyPlan(seed=args.seed, n_passes=args.passes, sample_spacing=args.spacing)
     raw, test = generate_dataset(env, plan)
     env.save(out_dir / "env.json")
     write_fingerprints(out_dir / "raw.jsonl", raw.records)
@@ -109,8 +100,6 @@ def _cmd_build(args) -> int:
     }
     cfg = _layer_config(BuilderConfig, args.config, overrides)
     records = read_fingerprints(args.raw, require_location=True)
-    from rfmloc.model import RawRfm
-
     rfm = build(RawRfm.from_records(records), cfg)
     rfm.save(args.out)
     print(f"built a map with {rfm.n_points} reference points and "
@@ -149,16 +138,22 @@ def _cmd_locate(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    estimates = read_estimates(args.estimates)
-    truth_records = read_fingerprints(args.truth, require_location=True)
+def _check_aligned(estimates, truth_records, source) -> None:
+    """Estimates must pair up with the truth records: same count, and the
+    same id line by line wherever the estimate carries one."""
     if len(estimates) != len(truth_records):
         raise DataError(f"{len(estimates)} estimates but {len(truth_records)} "
-                        f"truth records", source=args.estimates)
+                        f"truth records", source=source)
     for i, (est, rec) in enumerate(zip(estimates, truth_records), start=1):
         if est.query_id is not None and est.query_id != rec.id:
             raise DataError(f"estimate id {est.query_id} does not match truth id "
-                            f"{rec.id}", source=args.estimates, line=i)
+                            f"{rec.id}", source=source, line=i)
+
+
+def _cmd_eval(args) -> int:
+    estimates = read_estimates(args.estimates)
+    truth_records = read_fingerprints(args.truth, require_location=True)
+    _check_aligned(estimates, truth_records, args.estimates)
     truth = [rec.location for rec in truth_records]
     errors = evaluate.radial_errors(estimates, truth)
     shares = evaluate.tf_stats(estimates)
@@ -197,9 +192,7 @@ def _cmd_report(args) -> int:
         if path.resolve() == truth_path.resolve():
             continue
         estimates = read_estimates(path)
-        if len(estimates) != len(truth):
-            raise DataError(f"{len(estimates)} estimates but {len(truth)} truth "
-                            f"records", source=path)
+        _check_aligned(estimates, truth_records, path)
         runs[path.stem] = estimates
     if not runs:
         raise DataError("no estimate files found", source=runs_dir)
@@ -226,7 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roi-height", type=float, default=30.0)
     p.add_argument("--passes", type=int, default=3)
     p.add_argument("--spacing", type=float, default=1.0)
-    p.add_argument("--speed", type=float, default=1.0)
     p.add_argument("--contamination", type=float, default=0.0)
     p.set_defaults(handler=_cmd_synth)
 
@@ -287,6 +279,9 @@ def run(argv=None) -> int:
         return args.handler(args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {DataError(exc.strerror, source=exc.filename)}", file=sys.stderr)
         return 1
 
 

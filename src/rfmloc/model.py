@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -194,6 +194,10 @@ class PositioningConfig:
     init_seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ValueError("alpha1 and alpha2 must be non-negative")
         if self.beta <= 0:
@@ -398,10 +402,6 @@ class ExtendedRfm:
                                     float(self._sigmas[index, f])))
         return out
 
-    @property
-    def reference_points(self) -> list[tuple[Location, list[RfmEntry]]]:
-        return [(self.location_at(j), self.entries_at(j)) for j in range(self.n_points)]
-
     def query(self, loc: Location) -> list[RfmEntry]:
         """Continuous lookup of both layers at an arbitrary location.
 
@@ -443,36 +443,90 @@ class ExtendedRfm:
         obj = json.loads(text)
         config = BuilderConfig.from_dict(obj["config"])
         points = obj["points"]
-        universe = sorted({e["id"] for pt in points for e in pt["entries"]})
+        rows, fids, values, sigmas = [], [], [], []
+        for j, pt in enumerate(points):
+            entries = pt["entries"]
+            for e in entries:
+                fid, v, sigma = e["id"], e["v"], e["sigma"]
+                # type(), not isinstance(): JSON true and false are not numbers
+                if not (type(fid) is str and fid and type(v) in (int, float)
+                        and type(sigma) in (int, float)
+                        and math.isfinite(v) and math.isfinite(sigma)):
+                    raise ValueError(f"feature {fid!r} at reference point {j} has v={v!r}, "
+                                     f"sigma={sigma!r}; feature ids must be non-empty "
+                                     f"strings and both values finite numbers")
+                rows.append(j)
+                fids.append(fid)
+                values.append(v)
+                sigmas.append(sigma)
+            ids = fids[len(fids) - len(entries):]
+            if len(set(ids)) != len(ids):
+                twice = next(fid for k, fid in enumerate(ids) if fid in ids[:k])
+                raise ValueError(f"feature {twice!r} is listed twice at reference point {j}")
+        universe = sorted(set(fids))
         index = {fid: i for i, fid in enumerate(universe)}
         n = len(points)
-        locations = np.empty((n, 2))
-        values = np.full((n, len(universe)), np.nan)
-        sigmas = np.full((n, len(universe)), np.nan)
-        for j, pt in enumerate(points):
-            locations[j] = (float(pt["x"]), float(pt["y"]))
-            for e in pt["entries"]:
-                v, sigma = float(e["v"]), float(e["sigma"])
-                if not (math.isfinite(v) and math.isfinite(sigma)):
-                    raise ValueError(f"feature {e['id']!r} at reference point {j} has "
-                                     f"v={v!r}, sigma={sigma!r}; both must be finite")
-                f = index[e["id"]]
-                values[j, f] = v
-                sigmas[j, f] = sigma
-        return cls(locations, universe, values, sigmas, config)
+        locations = np.array([(float(pt["x"]), float(pt["y"])) for pt in points]).reshape(n, 2)
+        value_layer = np.full((n, len(universe)), np.nan)
+        sigma_layer = np.full((n, len(universe)), np.nan)
+        cols = [index[fid] for fid in fids]
+        value_layer[rows, cols] = values
+        sigma_layer[rows, cols] = sigmas
+        return cls(locations, universe, value_layer, sigma_layer, config)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
+        write_lines(path, [self.to_json()])
 
     @classmethod
     def load(cls, path) -> "ExtendedRfm":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return cls.from_json(fh.read())
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"invalid reference map: {exc}", source=path) from exc
+        return read_document(path, cls.from_json, "reference map")
+
+
+# What a parser raises on malformed input; readers turn it into a DataError.
+_PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def read_lines(path, parse) -> list:
+    """The items ``parse`` returns for the stripped non-blank lines of a UTF-8
+    file, None results left out; a line that is not UTF-8 or that ``parse``
+    rejects raises :class:`DataError` naming the file and line."""
+    out = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                item = parse(line) if line else None
+            except _PARSE_ERRORS as exc:
+                raise DataError(str(exc), source=path, line=lineno) from None
+            if item is not None:
+                out.append(item)
+    return out
+
+
+def read_document(path, parse, what: str):
+    """Parse a whole UTF-8 document with ``parse(text)``; malformed input
+    raises :class:`DataError` naming the file and ``what`` it should hold."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse(data.decode("utf-8"))
+    except _PARSE_ERRORS as exc:
+        raise DataError(f"invalid {what}: {exc}", source=path) from exc
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write each string as one line of a UTF-8 text file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
+
+
+def _json_line(line: str):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc.msg}") from None
 
 
 def fingerprint_to_obj(fp: Fingerprint) -> dict:
@@ -521,33 +575,20 @@ def read_fingerprints(path, *, require_location: bool = False,
     Raises :class:`DataError` naming the file and line on any malformed
     record, including feature values below the missing-value indicator.
     """
-    records: list[Fingerprint] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"invalid JSON: {exc.msg}", source=path, line=lineno) from None
-            try:
-                fp = fingerprint_from_obj(obj, missing_value=missing_value)
-            except ValueError as exc:
-                raise DataError(str(exc), source=path, line=lineno) from None
-            if require_location and fp.location is None:
-                raise DataError("record has no ground-truth location", source=path, line=lineno)
-            records.append(fp)
+    def parse(line: str) -> Fingerprint:
+        fp = fingerprint_from_obj(_json_line(line), missing_value=missing_value)
+        if require_location and fp.location is None:
+            raise ValueError("record has no ground-truth location")
+        return fp
+
+    records = read_lines(path, parse)
     if not records:
         raise DataError("no records found", source=path)
     return records
 
 
 def write_fingerprints(path, fingerprints: Iterable[Fingerprint]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for fp in fingerprints:
-            fh.write(json.dumps(fingerprint_to_obj(fp)))
-            fh.write("\n")
+    write_lines(path, (json.dumps(fingerprint_to_obj(fp)) for fp in fingerprints))
 
 
 def estimate_to_obj(est: PositionEstimate) -> dict:
@@ -579,24 +620,11 @@ def estimate_from_obj(obj: Mapping) -> PositionEstimate:
 
 
 def read_estimates(path) -> list[PositionEstimate]:
-    out: list[PositionEstimate] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(estimate_from_obj(obj))
-            except (json.JSONDecodeError, ValueError) as exc:
-                raise DataError(str(exc), source=path, line=lineno) from None
+    out = read_lines(path, lambda line: estimate_from_obj(_json_line(line)))
     if not out:
         raise DataError("no estimates found", source=path)
     return out
 
 
 def write_estimates(path, estimates: Iterable[PositionEstimate]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for est in estimates:
-            fh.write(json.dumps(estimate_to_obj(est)))
-            fh.write("\n")
+    write_lines(path, (json.dumps(estimate_to_obj(est)) for est in estimates))

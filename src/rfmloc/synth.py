@@ -19,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from rfmloc.model import DataError, FeatureId, Fingerprint, Location, RawRfm, Rect
+from rfmloc.model import (FeatureId, Fingerprint, Location, RawRfm, Rect, read_document,
+                          write_lines)
 
 _LEGS_PER_PASS = 10
 _TEST_SHARE = 0.2
@@ -107,33 +108,24 @@ class SyntheticEnvironment:
                    float(obj["contamination"]))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
+        write_lines(path, [self.to_json()])
 
     @classmethod
     def load(cls, path) -> "SyntheticEnvironment":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return cls.from_json(fh.read())
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"invalid environment: {exc}", source=path) from exc
+        return read_document(path, cls.from_json, "environment")
 
 
 @dataclass(frozen=True)
 class SurveyPlan:
-    """Kinematic survey parameters."""
+    """Survey walk parameters."""
 
     seed: int
     n_passes: int = 3
-    speed: float = 1.0
     sample_spacing: float = 1.0
 
     def __post_init__(self):
         if self.n_passes < 1:
             raise ValueError("n_passes must be at least 1")
-        if self.speed <= 0:
-            raise ValueError("speed must be positive")
         if self.sample_spacing <= 0:
             raise ValueError("sample_spacing must be positive")
 
@@ -142,6 +134,8 @@ def make_environment(seed: int, *, width: float = 50.0, height: float = 30.0,
                      n_aps: int = 12, contamination: float = 0.0,
                      sensitivity: float = -110.0) -> SyntheticEnvironment:
     """Draw a random environment: access point layout, powers, noise fields."""
+    if n_aps < 1:
+        raise ValueError(f"n_aps must be at least 1, got {n_aps}")
     rng = np.random.default_rng([seed, 0xE17])
     roi = Rect(0.0, 0.0, width, height)
     aps = []

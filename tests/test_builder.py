@@ -9,7 +9,7 @@ import pytest
 from rfmloc import builder
 from rfmloc.builder import (BuilderConfig, EmptyNeighborhood, build,
                             estimate_std, kernel_smooth, neighborhood,
-                            residual_field, spatial_median_filter)
+                            spatial_median_filter)
 from rfmloc.model import Fingerprint, Location, RawRfm
 from tests.conftest import grid_raw, make_fp
 
@@ -291,22 +291,6 @@ class TestBuild:
                     assert rfm.values[j, f] == expected[fid]
                 else:
                     assert np.isnan(rfm.values[j, f])
-
-    def test_residual_field_matches_raw_minus_map(self):
-        pts = {(float(i) * 0.5, 0.0): {"a": -60.0 - i} for i in range(6)}
-        raw = grid_raw(pts)
-        rfm = build(raw)
-        res = residual_field(raw, rfm)
-        assert len(res) == len(raw.records)
-        by_loc = {(r.location.x, r.location.y): r.features for r in raw.records}
-        point_index = {(x, y): j for j, (x, y) in enumerate(rfm.locations)}
-        for loc, fid, r in res:
-            # record locations coincide with reference points here, so the
-            # stored entry (not a fresh kernel query) is the map value
-            stored = {e.feature: e.value
-                      for e in rfm.entries_at(point_index[(loc.x, loc.y)])}
-            assert r == pytest.approx(by_loc[(loc.x, loc.y)][fid] - stored[fid],
-                                      abs=1e-9)
 
 
 # ------------------------------------------------------------ layer oracles

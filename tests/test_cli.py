@@ -40,7 +40,7 @@ class TestSynth:
 
     @pytest.mark.parametrize("flag, value", [("--spacing", "0"), ("--passes", "0"),
                                              ("--roi-width", "-5"),
-                                             ("--contamination", "2")])
+                                             ("--contamination", "2"), ("--n-aps", "0")])
     def test_invalid_flag_exits_1(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         assert run(["synth", "--seed", "3", "--out-dir", str(out), flag, value]) == 1
@@ -274,3 +274,114 @@ class TestEvalAndReport:
         empty.mkdir()
         (empty / "truth.jsonl").write_bytes((scored / "truth.jsonl").read_bytes())
         assert run(["report", "--runs", str(empty)]) == 1
+
+
+def _ff_on_line_2(src, dst):
+    """Copy ``src`` to ``dst`` with a 0xFF byte, never valid UTF-8, inside line 2."""
+    first, second, rest = src.read_bytes().split(b"\n", 2)
+    dst.write_bytes(b"\n".join([first, second[:5] + b"\xff" + second[5:], rest]))
+    return dst
+
+
+def _bad_input(case, workdir, scored, tmp):
+    """argv of one malformed or unreadable input case, the stderr prefix it
+    must produce, and a phrase the message must hold (or None)."""
+    raw, obs, rfm = workdir / "raw.jsonl", workdir / "test.jsonl", workdir / "map.json"
+    knn, missing, out = scored / "knn.jsonl", tmp / "missing", tmp / "out"
+
+    def build(*extra, raw=raw):
+        return ["build", "--raw", str(raw), "--out", str(out), *extra]
+
+    def locate(*extra, rfm=rfm, obs=obs, out=out):
+        return ["locate", "--rfm", str(rfm), "--obs", str(obs), "--out", str(out),
+                "--method", "knn", *extra]
+
+    def evaluate(estimates=knn, truth=obs):
+        return ["eval", "--estimates", str(estimates), "--truth", str(truth),
+                "--out", str(out)]
+
+    def bad_config():
+        cfg = tmp / "b.cfg"
+        cfg.write_bytes(b"radius = 3.0\nks_neighbors = 1\xff0\n")
+        return cfg
+
+    def huge_value_survey():
+        # an integer too large for a float: JSON parses it, float() overflows
+        lines = raw.read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record["features"] = {"a": -60}
+        lines[1] = json.dumps(record).replace('"a": -60', '"a": -6' + "0" * 400) + "\n"
+        (tmp / "raw.jsonl").write_text("".join(lines))
+        return tmp / "raw.jsonl"
+
+    def reversed_runs():
+        runs = tmp / "runs"
+        runs.mkdir()
+        (runs / "truth.jsonl").write_bytes(obs.read_bytes())
+        lines = knn.read_text().splitlines(keepends=True)
+        (runs / "knn.jsonl").write_text("".join(reversed(lines)))
+        return runs
+
+    def bad_map(edit):
+        obj = json.loads(rfm.read_text())
+        edit(obj["points"][3]["entries"])
+        (tmp / "map.json").write_text(json.dumps(obj))
+        return tmp / "map.json"
+
+    def set_first(key, value):
+        return lambda entries: entries[0].update({key: value})
+
+    cases = {
+        "missing-raw": lambda: (build(raw=missing), f"{missing}: ", None),
+        "missing-rfm": lambda: (locate(rfm=missing), f"{missing}: ", None),
+        "missing-obs": lambda: (locate(obs=missing), f"{missing}: ", None),
+        "missing-config": lambda: (build("--config", str(missing)), f"{missing}: ", None),
+        "missing-truth": lambda: (evaluate(truth=missing), f"{missing}: ", None),
+        "out-in-missing-dir": lambda: (locate(out=missing / "o.jsonl"),
+                                       f"{missing / 'o.jsonl'}: ", None),
+        "ff-survey": lambda: (build(raw=_ff_on_line_2(raw, tmp / "raw.jsonl")),
+                              f"{tmp / 'raw.jsonl'}:2: ", None),
+        "ff-query": lambda: (locate(obs=_ff_on_line_2(obs, tmp / "q.jsonl")),
+                             f"{tmp / 'q.jsonl'}:2: ", None),
+        "ff-estimates": lambda: (evaluate(estimates=_ff_on_line_2(knn, tmp / "e.jsonl")),
+                                 f"{tmp / 'e.jsonl'}:2: ", None),
+        "ff-config": lambda: (build("--config", str(bad_config())), f"{tmp / 'b.cfg'}:2: ",
+                              None),
+        "int-overflow-survey": lambda: (build(raw=huge_value_survey()),
+                                        f"{tmp / 'raw.jsonl'}:2: ", None),
+        "report-reversed": lambda: (["report", "--runs", str(reversed_runs())],
+                                    f"{tmp / 'runs' / 'knn.jsonl'}:1: ", "does not match"),
+        "nan-bandwidth": lambda: (build("--bandwidth", "nan"), "bandwidth must be finite",
+                                  None),
+        "nan-beta": lambda: (locate("--beta", "nan"), "beta must be finite", None),
+        "nan-converge-tol": lambda: (locate("--converge-tol", "nan"),
+                                     "converge_tol must be finite", None),
+        "n-aps-0": lambda: (["synth", "--seed", "3", "--out-dir", str(out), "--n-aps", "0"],
+                            "--n-aps must be at least 1", None),
+        "map-id-not-string": lambda: (locate(rfm=bad_map(set_first("id", 7))),
+                                      f"{tmp / 'map.json'}: invalid reference map: ",
+                                      "at reference point 3"),
+        "map-v-true": lambda: (locate(rfm=bad_map(set_first("v", True))),
+                               f"{tmp / 'map.json'}: invalid reference map: ",
+                               "at reference point 3"),
+        "map-id-twice": lambda: (locate(rfm=bad_map(lambda e: e.append(dict(e[0])))),
+                                 f"{tmp / 'map.json'}: invalid reference map: ",
+                                 "listed twice at reference point 3"),
+    }
+    return cases[case]()
+
+
+@pytest.mark.parametrize("case", [
+    "missing-raw", "missing-rfm", "missing-obs", "missing-config", "missing-truth",
+    "out-in-missing-dir", "ff-survey", "ff-query", "ff-estimates", "ff-config",
+    "int-overflow-survey", "report-reversed", "nan-bandwidth", "nan-beta",
+    "nan-converge-tol", "n-aps-0", "map-id-not-string", "map-v-true", "map-id-twice"])
+def test_bad_input_exits_1_with_one_error_line(workdir, scored, tmp_path, capsys, case):
+    argv, prefix, phrase = _bad_input(case, workdir, scored, tmp_path)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prefix}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    if phrase is not None:
+        assert phrase in err
