@@ -50,10 +50,15 @@ def _layer_config(cls, config_path, overrides: dict):
         except ValueError:
             raise ValueError(f"bad value for {key!r}: {raw!r}") from None
 
-    values = dict(read_lines(config_path, parse)) if config_path is not None else {}
-    values.update((key, value) for key, value in overrides.items() if value is not None)
+    file_values = dict(read_lines(config_path, parse)) if config_path is not None else {}
+    flags = {key: value for key, value in overrides.items() if value is not None}
+    # the defaults are valid, so a failure here is a flag's, and one after it the file's
     try:
-        return cls(**values)
+        cls(**flags)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
+    try:
+        return cls(**{**file_values, **flags})
     except ValueError as exc:
         raise DataError(str(exc), source=config_path) from None
 
@@ -138,22 +143,24 @@ def _cmd_locate(args) -> int:
     return 0
 
 
-def _check_aligned(estimates, truth_records, source) -> None:
-    """Estimates must pair up with the truth records: same count, and the
-    same id line by line wherever the estimate carries one."""
-    if len(estimates) != len(truth_records):
-        raise DataError(f"{len(estimates)} estimates but {len(truth_records)} "
+def _check_aligned(numbered, truth_records, source) -> list:
+    """The estimates of ``numbered`` (line, estimate) pairs, which must pair
+    up with the truth records: same count, and the same id record by record
+    wherever the estimate carries one."""
+    if len(numbered) != len(truth_records):
+        raise DataError(f"{len(numbered)} estimates but {len(truth_records)} "
                         f"truth records", source=source)
-    for i, (est, rec) in enumerate(zip(estimates, truth_records), start=1):
+    for (line, est), rec in zip(numbered, truth_records):
         if est.query_id is not None and est.query_id != rec.id:
             raise DataError(f"estimate id {est.query_id} does not match truth id "
-                            f"{rec.id}", source=source, line=i)
+                            f"{rec.id}", source=source, line=line)
+    return [est for _, est in numbered]
 
 
 def _cmd_eval(args) -> int:
-    estimates = read_estimates(args.estimates)
+    numbered = read_estimates(args.estimates, numbered=True)
     truth_records = read_fingerprints(args.truth, require_location=True)
-    _check_aligned(estimates, truth_records, args.estimates)
+    estimates = _check_aligned(numbered, truth_records, args.estimates)
     truth = [rec.location for rec in truth_records]
     errors = evaluate.radial_errors(estimates, truth)
     shares = evaluate.tf_stats(estimates)
@@ -191,9 +198,8 @@ def _cmd_report(args) -> int:
     for path in sorted(runs_dir.glob("*.jsonl")):
         if path.resolve() == truth_path.resolve():
             continue
-        estimates = read_estimates(path)
-        _check_aligned(estimates, truth_records, path)
-        runs[path.stem] = estimates
+        runs[path.stem] = _check_aligned(read_estimates(path, numbered=True),
+                                         truth_records, path)
     if not runs:
         raise DataError("no estimate files found", source=runs_dir)
     table = evaluate.compare_report(runs, truth)

@@ -443,8 +443,13 @@ class ExtendedRfm:
         obj = json.loads(text)
         config = BuilderConfig.from_dict(obj["config"])
         points = obj["points"]
-        rows, fids, values, sigmas = [], [], [], []
+        coords, rows, fids, values, sigmas = [], [], [], [], []
         for j, pt in enumerate(points):
+            x, y = pt["x"], pt["y"]
+            if not all(type(c) in (int, float) and math.isfinite(c) for c in (x, y)):
+                raise ValueError(f"reference point {j} has x={x!r}, y={y!r}; "
+                                 f"coordinates must be finite numbers")
+            coords.append((x, y))
             entries = pt["entries"]
             for e in entries:
                 fid, v, sigma = e["id"], e["v"], e["sigma"]
@@ -466,7 +471,7 @@ class ExtendedRfm:
         universe = sorted(set(fids))
         index = {fid: i for i, fid in enumerate(universe)}
         n = len(points)
-        locations = np.array([(float(pt["x"]), float(pt["y"])) for pt in points]).reshape(n, 2)
+        locations = np.array(coords, dtype=float).reshape(n, 2)
         value_layer = np.full((n, len(universe)), np.nan)
         sigma_layer = np.full((n, len(universe)), np.nan)
         cols = [index[fid] for fid in fids]
@@ -486,10 +491,11 @@ class ExtendedRfm:
 _PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 
-def read_lines(path, parse) -> list:
+def read_lines(path, parse, *, numbered: bool = False) -> list:
     """The items ``parse`` returns for the stripped non-blank lines of a UTF-8
-    file, None results left out; a line that is not UTF-8 or that ``parse``
-    rejects raises :class:`DataError` naming the file and line."""
+    file, None results left out, each as a (line number, item) pair when
+    ``numbered``; a line that is not UTF-8 or that ``parse`` rejects raises
+    :class:`DataError` naming the file and line."""
     out = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -499,7 +505,7 @@ def read_lines(path, parse) -> list:
             except _PARSE_ERRORS as exc:
                 raise DataError(str(exc), source=path, line=lineno) from None
             if item is not None:
-                out.append(item)
+                out.append((lineno, item) if numbered else item)
     return out
 
 
@@ -619,8 +625,10 @@ def estimate_from_obj(obj: Mapping) -> PositionEstimate:
     return PositionEstimate(location, tf, iterations, path, loop_points, query_id)
 
 
-def read_estimates(path) -> list[PositionEstimate]:
-    out = read_lines(path, lambda line: estimate_from_obj(_json_line(line)))
+def read_estimates(path, *, numbered: bool = False) -> list:
+    """Position estimates from a JSON-lines file, as :func:`read_lines` gives them."""
+    out = read_lines(path, lambda line: estimate_from_obj(_json_line(line)),
+                     numbered=numbered)
     if not out:
         raise DataError("no estimates found", source=path)
     return out

@@ -32,7 +32,7 @@ class InsufficientPoints(ValueError):
 
 
 def _universe_projection(obs: Fingerprint, rfm: ExtendedRfm,
-                         wv: WeightVector | None, cfg: PositioningConfig):
+                         wv: WeightVector, cfg: PositioningConfig):
     """Align the observation and weights with the map's feature universe.
 
     Returns the observation vector (NaN for unmeasured universe features),
@@ -42,18 +42,15 @@ def _universe_projection(obs: Fingerprint, rfm: ExtendedRfm,
     definition exactly).
     """
     fids = rfm.feature_ids
-    if wv is None:
-        weights = np.ones(len(fids))
-    else:
-        weights = np.fromiter((wv.get(f) for f in fids), dtype=float, count=len(fids))
+    weights = np.fromiter((wv.get(f) for f in fids), dtype=float, count=len(fids))
     obs_vec = np.full(len(fids), np.nan)
     base = 0.0
     index = rfm.feature_index
     for a, v in obs.features.items():
         f = index.get(a)
         if f is None:
-            w = 1.0 if wv is None else wv.get(a)
-            base += cfg.alpha1 * w * feature_distance(v, cfg.missing_value, cfg.minkowski_p)
+            base += cfg.alpha1 * wv.get(a) * feature_distance(v, cfg.missing_value,
+                                                              cfg.minkowski_p)
         else:
             obs_vec[f] = v
     return obs_vec, weights, base
@@ -65,6 +62,8 @@ def dissimilarities(obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig,
     if not obs.features and (rfm.entry_counts == 0).any():
         raise EmptyComparison(f"query {obs.id} has no features and the map has "
                               "reference points without any")
+    if wv is None:
+        wv = WeightVector({}, 1.0)
     obs_vec, weights, base = _universe_projection(obs, rfm, wv, cfg)
     return _kernels.cdm_batch(rfm.values, obs_vec, weights, cfg.alpha1, cfg.alpha2,
                               cfg.missing_value, cfg.minkowski_p, base)

@@ -331,6 +331,23 @@ def _bad_input(case, workdir, scored, tmp):
     def set_first(key, value):
         return lambda entries: entries[0].update({key: value})
 
+    def bad_point(key, value):
+        obj = json.loads(rfm.read_text())
+        obj["points"][3][key] = value
+        (tmp / "map.json").write_text(json.dumps(obj))
+        return tmp / "map.json"
+
+    def blank_lines_then_wrong_id():
+        # line 1, two blank lines, then on line 4 the estimate that belongs on line 5
+        lines = knn.read_text().splitlines(keepends=True)
+        (tmp / "e.jsonl").write_text("".join([lines[0], "\n", "\n", lines[2], lines[1],
+                                              *lines[3:]]))
+        return tmp / "e.jsonl"
+
+    def ok_config():
+        (tmp / "ok.cfg").write_text("radius = 3.0\n")
+        return tmp / "ok.cfg"
+
     cases = {
         "missing-raw": lambda: (build(raw=missing), f"{missing}: ", None),
         "missing-rfm": lambda: (locate(rfm=missing), f"{missing}: ", None),
@@ -367,6 +384,16 @@ def _bad_input(case, workdir, scored, tmp):
         "map-id-twice": lambda: (locate(rfm=bad_map(lambda e: e.append(dict(e[0])))),
                                  f"{tmp / 'map.json'}: invalid reference map: ",
                                  "listed twice at reference point 3"),
+        "map-x-string": lambda: (locate(rfm=bad_point("x", "1.5")),
+                                 f"{tmp / 'map.json'}: invalid reference map: ",
+                                 "reference point 3"),
+        "map-y-true": lambda: (locate(rfm=bad_point("y", True)),
+                               f"{tmp / 'map.json'}: invalid reference map: ",
+                               "reference point 3"),
+        "estimates-blank-lines": lambda: (evaluate(estimates=blank_lines_then_wrong_id()),
+                                          f"{tmp / 'e.jsonl'}:4: ", "does not match"),
+        "config-ok-flag-nan": lambda: (build("--config", str(ok_config()), "--bandwidth",
+                                             "nan"), "bandwidth must be finite", None),
     }
     return cases[case]()
 
@@ -375,7 +402,8 @@ def _bad_input(case, workdir, scored, tmp):
     "missing-raw", "missing-rfm", "missing-obs", "missing-config", "missing-truth",
     "out-in-missing-dir", "ff-survey", "ff-query", "ff-estimates", "ff-config",
     "int-overflow-survey", "report-reversed", "nan-bandwidth", "nan-beta",
-    "nan-converge-tol", "n-aps-0", "map-id-not-string", "map-v-true", "map-id-twice"])
+    "nan-converge-tol", "n-aps-0", "map-id-not-string", "map-v-true", "map-id-twice",
+    "map-x-string", "map-y-true", "estimates-blank-lines", "config-ok-flag-nan"])
 def test_bad_input_exits_1_with_one_error_line(workdir, scored, tmp_path, capsys, case):
     argv, prefix, phrase = _bad_input(case, workdir, scored, tmp_path)
     assert run(argv) == 1

@@ -43,10 +43,22 @@ def scalar_oracle(ref, obs, weights, a1, a2, gamma, p, base):
 
 
 class TestNumpyBackend:
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-    def test_matches_scalar_oracle(self, rng, p):
+    @pytest.mark.parametrize("p, corner", [
+        pytest.param(1.0, None, id="1.0"),
+        pytest.param(2.0, None, id="2.0"),
+        pytest.param(3.0, None, id="3.0"),
+        pytest.param(1.5, None, id="1.5"),
+        pytest.param(2.0, "zero-alphas", id="zero-alphas"),
+        pytest.param(2.0, "featureless-obs", id="featureless-obs"),
+    ])
+    def test_matches_scalar_oracle(self, rng, p, corner):
         for _ in range(80):
-            case = random_case(rng, p=p)
+            ref, obs, weights, a1, a2, gamma, p, base = random_case(rng, p=p)
+            if corner == "zero-alphas":
+                a1 = a2 = 0.0
+            elif corner == "featureless-obs":
+                obs[:] = np.nan
+            case = (ref, obs, weights, a1, a2, gamma, p, base)
             got = _kernels.cdm_batch(*case)
             assert got == pytest.approx(scalar_oracle(*case), rel=1e-12, abs=1e-12)
 
