@@ -19,15 +19,14 @@ number of records at a time, so memory stays flat however large
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from rfmloc.model import (ExtendedRfm, FeatureId, Fingerprint, Location, RawRfm,
-                          gaussian_nw, nearest_carriers_nw)
+from rfmloc.model import (BuilderConfig, ExtendedRfm, FeatureId, Fingerprint, Location,
+                          RawRfm, gaussian_nw, nearest_carriers_nw)
 
 
 # Values per gathered (records, support, features) block, 256 KB of
@@ -37,52 +36,6 @@ _BLOCK_VALUES = 1 << 15
 
 class EmptyNeighborhood(ValueError):
     """No record lies within the filter radius of the requested center."""
-
-
-@dataclass(frozen=True)
-class BuilderConfig:
-    """Parameters of the map construction pipeline.
-
-    ``max_neighbors`` and ``radius`` bound the spatial filter support;
-    ``ks_neighbors`` and ``bandwidth`` control the kernel smoothing, whose
-    support is additionally restricted to three bandwidths. ``mad_scale``
-    converts a median absolute residual into a normal-consistent standard
-    deviation and ``sigma_floor`` is the smallest spread the map will
-    report.
-    """
-
-    max_neighbors: int = 20
-    radius: float = 2.0
-    ks_neighbors: int = 20
-    bandwidth: float = 1.0
-    mad_scale: float = 1.4826
-    sigma_floor: float = 0.5
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if self.max_neighbors < 1:
-            raise ValueError("max_neighbors must be at least 1")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.ks_neighbors < 1:
-            raise ValueError("ks_neighbors must be at least 1")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.mad_scale <= 0:
-            raise ValueError("mad_scale must be positive")
-        if self.sigma_floor <= 0:
-            raise ValueError("sigma_floor must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: Mapping) -> "BuilderConfig":
-        coerce = {"int": int, "float": float}
-        return cls(**{f.name: coerce[f.type](obj[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)

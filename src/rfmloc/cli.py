@@ -9,33 +9,48 @@ built-in defaults.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from rfmloc import evaluate
-from rfmloc.builder import BuilderConfig, build
+from rfmloc.builder import build
 from rfmloc.dissim import EmptyComparison
-from rfmloc.model import (DataError, ExtendedRfm, PositioningConfig, RawRfm,
-                          read_estimates, read_fingerprints, read_lines, write_estimates,
-                          write_fingerprints)
+from rfmloc.model import (BuilderConfig, DataError, ExtendedRfm, PositioningConfig, RawRfm,
+                          field_types, read_estimates, read_fingerprints, read_lines,
+                          write_estimates, write_fingerprints, write_lines)
 from rfmloc.positioner import locate_batch
 from rfmloc.synth import SurveyPlan, generate_dataset, make_environment
 
-_WEIGHT_FORMS = {"paper": "paper_verbatim", "precision": "precision_softmax"}
+# The config flags that differ from "--" + the field name with "_" as "-",
+# with the add_argument settings they take instead. A choice listed in
+# _FLAG_VALUES stands for the field value it maps to; any other value
+# given to a flag is the field value itself.
+_FLAG_SETTINGS = {
+    "init_seed": {"flag": "--seed", "metavar": "SEED",
+                  "help": "seed for random initialization"},
+    "weight_form": {"choices": ["paper", "precision"]},
+    "init_mode": {"choices": ["knn", "random"]},
+}
+_FLAG_VALUES = {"weight_form": {"paper": "paper_verbatim", "precision": "precision_softmax"}}
 
 
-def _layer_config(cls, config_path, overrides: dict):
-    """Build a config dataclass from defaults, then file values, then flags.
+def _add_config_flags(parser, cls) -> None:
+    """One flag per field of the config dataclass ``cls``, defaulting to None."""
+    for name, kind in field_types(cls).items():
+        settings = {"type": kind, **_FLAG_SETTINGS.get(name, {})}
+        flag = settings.pop("flag", "--" + name.replace("_", "-"))
+        parser.add_argument(flag, dest=name, **settings)
+
+
+def _layer_config(cls, args):
+    """Build a config dataclass from defaults, then the values of the
+    ``--config`` file, then the flags :func:`_add_config_flags` added.
 
     The file holds ``key = value`` lines; blank lines and lines starting
     with ``#`` are ignored.
     """
-    coercers = {"int": int, "float": float, "str": str}
-    spec = {f.name: coercers[f.type] for f in fields(cls)}
+    spec = field_types(cls)
 
     def parse(line: str):
         if line.startswith("#"):
@@ -50,8 +65,12 @@ def _layer_config(cls, config_path, overrides: dict):
         except ValueError:
             raise ValueError(f"bad value for {key!r}: {raw!r}") from None
 
-    file_values = dict(read_lines(config_path, parse)) if config_path is not None else {}
-    flags = {key: value for key, value in overrides.items() if value is not None}
+    file_values = dict(read_lines(args.config, parse)) if args.config is not None else {}
+    flags = {}
+    for name in spec:
+        value = getattr(args, name)
+        if value is not None:
+            flags[name] = _FLAG_VALUES.get(name, {}).get(value, value)
     # the defaults are valid, so a failure here is a flag's, and one after it the file's
     try:
         cls(**flags)
@@ -60,7 +79,7 @@ def _layer_config(cls, config_path, overrides: dict):
     try:
         return cls(**{**file_values, **flags})
     except ValueError as exc:
-        raise DataError(str(exc), source=config_path) from None
+        raise DataError(str(exc), source=args.config) from None
 
 
 def _check_synth_flags(args) -> None:
@@ -98,12 +117,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    overrides = {
-        "max_neighbors": args.max_neighbors, "radius": args.radius,
-        "ks_neighbors": args.ks_neighbors, "bandwidth": args.bandwidth,
-        "mad_scale": args.mad_scale, "sigma_floor": args.sigma_floor,
-    }
-    cfg = _layer_config(BuilderConfig, args.config, overrides)
+    cfg = _layer_config(BuilderConfig, args)
     records = read_fingerprints(args.raw, require_location=True)
     rfm = build(RawRfm.from_records(records), cfg)
     rfm.save(args.out)
@@ -112,25 +126,10 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _positioning_overrides(args) -> dict:
-    overrides = {
-        "alpha1": args.alpha1, "alpha2": args.alpha2,
-        "missing_value": args.missing_value, "beta": args.beta, "k": args.k,
-        "converge_tol": args.converge_tol, "max_iterations": args.max_iterations,
-        "loop_min_points": args.loop_min_points,
-        "loop_max_diameter": args.loop_max_diameter,
-        "minkowski_p": args.minkowski_p, "init_mode": args.init_mode,
-        "init_seed": args.seed,
-    }
-    if args.weight_form is not None:
-        overrides["weight_form"] = _WEIGHT_FORMS[args.weight_form]
-    return overrides
-
-
 def _cmd_locate(args) -> int:
     if args.threads < 1:
         raise DataError(f"--threads must be at least 1, got {args.threads}")
-    cfg = _layer_config(PositioningConfig, args.config, _positioning_overrides(args))
+    cfg = _layer_config(PositioningConfig, args)
     rfm = ExtendedRfm.load(args.rfm)
     observations = read_fingerprints(args.obs, missing_value=cfg.missing_value)
     try:
@@ -164,25 +163,15 @@ def _cmd_eval(args) -> int:
     truth = [rec.location for rec in truth_records]
     errors = evaluate.radial_errors(estimates, truth)
     shares = evaluate.tf_stats(estimates)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "ce50", "ce75", "ce90", "max_error",
-                     "frac_converging", "frac_looping", "frac_max"])
-    writer.writerow([len(errors),
-                     repr(evaluate.circular_error(errors, 50)),
-                     repr(evaluate.circular_error(errors, 75)),
-                     repr(evaluate.circular_error(errors, 90)),
-                     repr(evaluate.circular_error(errors, 100)),
-                     repr(shares["converging"]), repr(shares["looping"]),
-                     repr(shares["max"])])
-    Path(args.out).write_text(buf.getvalue(), encoding="utf-8")
+    row = [len(errors), *(evaluate.circular_error(errors, pct) for pct in (50, 75, 90, 100)),
+           shares["converging"], shares["looping"], shares["max"]]
+    write_lines(args.out, evaluate.csv_lines(
+        "n,ce50,ce75,ce90,max_error,frac_converging,frac_looping,frac_max", [row]))
     if args.ecdf_out:
-        Path(args.ecdf_out).write_text(evaluate.ecdf_csv(errors), encoding="utf-8")
+        write_lines(args.ecdf_out, evaluate.ecdf_lines(errors))
     if args.errors_out:
-        lines = ["x,y,error"]
-        for loc, err in evaluate.error_map(estimates, truth):
-            lines.append(f"{loc.x!r},{loc.y!r},{err!r}")
-        Path(args.errors_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = [(loc.x, loc.y, err) for loc, err in evaluate.error_map(estimates, truth)]
+        write_lines(args.errors_out, evaluate.csv_lines("x,y,error", rows))
     print(f"scored {len(errors)} estimates into {args.out}")
     return 0
 
@@ -203,10 +192,9 @@ def _cmd_report(args) -> int:
     if not runs:
         raise DataError("no estimate files found", source=runs_dir)
     table = evaluate.compare_report(runs, truth)
-    (out_dir / "report.csv").write_text(table.to_csv(), encoding="utf-8")
+    write_lines(out_dir / "report.csv", table.csv_lines())
     for name, errors in table.errors.items():
-        (out_dir / f"{name}_ecdf.csv").write_text(evaluate.ecdf_csv(errors),
-                                                  encoding="utf-8")
+        write_lines(out_dir / f"{name}_ecdf.csv", evaluate.ecdf_lines(errors))
     print(f"wrote report.csv and {len(table.errors)} ECDF files to {out_dir}")
     return 0
 
@@ -232,12 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", required=True, help="survey records (JSON lines)")
     p.add_argument("--out", required=True, help="output map path (JSON)")
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--max-neighbors", type=int)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--ks-neighbors", type=int)
-    p.add_argument("--bandwidth", type=float)
-    p.add_argument("--mad-scale", type=float)
-    p.add_argument("--sigma-floor", type=float)
+    _add_config_flags(p, BuilderConfig)
     p.set_defaults(handler=_cmd_build)
 
     p = sub.add_parser("locate", help="position observations against a map")
@@ -247,19 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["knn", "cdm", "iterative"], default="iterative")
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--weight-form", choices=sorted(_WEIGHT_FORMS))
-    p.add_argument("--seed", type=int, help="seed for random initialization")
-    p.add_argument("--alpha1", type=float)
-    p.add_argument("--alpha2", type=float)
-    p.add_argument("--missing-value", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--converge-tol", type=float)
-    p.add_argument("--max-iterations", type=int)
-    p.add_argument("--loop-min-points", type=int)
-    p.add_argument("--loop-max-diameter", type=float)
-    p.add_argument("--minkowski-p", type=float)
-    p.add_argument("--init-mode", choices=["knn", "random"])
+    _add_config_flags(p, PositioningConfig)
     p.set_defaults(handler=_cmd_locate)
 
     p = sub.add_parser("eval", help="score estimates against ground truth")

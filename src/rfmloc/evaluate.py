@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from rfmloc.model import Location, PositionEstimate, Termination
 from rfmloc.positioner import loop_diameter
@@ -107,18 +107,26 @@ class ReportTable:
     rows: tuple[tuple[str, float, float, float, float], ...]
     errors: Mapping[str, Sequence[float]]
 
+    def csv_lines(self) -> list[str]:
+        return csv_lines("method,ce50,ce75,ce90,max_error", self.rows)
+
     def to_csv(self) -> str:
-        lines = ["method,ce50,ce75,ce90,max_error"]
-        for name, ce50, ce75, ce90, worst in self.rows:
-            lines.append(f"{name},{ce50!r},{ce75!r},{ce90!r},{worst!r}")
-        return "\n".join(lines) + "\n"
+        return "".join(line + "\n" for line in self.csv_lines())
+
+
+def csv_lines(header: str, rows: Iterable[Sequence]) -> list[str]:
+    """``header``, then one comma-separated line per row; strings are
+    written as they are and numbers as their repr, which round-trips."""
+    return [header, *(",".join(c if isinstance(c, str) else repr(c) for c in row)
+                      for row in rows)]
+
+
+def ecdf_lines(errors: Sequence[float]) -> list[str]:
+    return csv_lines("error,fraction", ecdf(errors))
 
 
 def ecdf_csv(errors: Sequence[float]) -> str:
-    lines = ["error,fraction"]
-    for value, fraction in ecdf(errors):
-        lines.append(f"{value!r},{fraction!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in ecdf_lines(errors))
 
 
 def compare_report(runs: Mapping[str, Sequence[PositionEstimate]],

@@ -14,16 +14,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from enum import IntEnum
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from rfmloc.builder import BuilderConfig
-
 FeatureId = str
+
+# The Python type of each config dataclass field, by its annotation.
+_FIELD_TYPES = {"int": int, "float": float, "str": str}
+# The JSON value types a field of each type accepts; a bool is never a number.
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
 class DataError(ValueError):
@@ -164,6 +166,70 @@ class RfmEntry:
     sigma: float
 
 
+def field_types(cls) -> dict[str, type]:
+    """The type of each field of the config dataclass ``cls``, in field order."""
+    return {f.name: _FIELD_TYPES[f.type] for f in fields(cls)}
+
+
+def _json_value(value, kind: type, name: str):
+    """``value`` as ``kind`` when JSON gave it as one: an int for an int, an
+    int or a float for a float, a string for a string; anything else, bools
+    included, raises ValueError naming ``name``."""
+    if type(value) not in _JSON_TYPES[kind]:
+        raise ValueError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _require_finite(config) -> None:
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
+@dataclass(frozen=True)
+class BuilderConfig:
+    """Parameters of the map construction pipeline.
+
+    ``max_neighbors`` and ``radius`` bound the spatial filter support;
+    ``ks_neighbors`` and ``bandwidth`` control the kernel smoothing, whose
+    support is additionally restricted to three bandwidths. ``mad_scale``
+    converts a median absolute residual into a normal-consistent standard
+    deviation and ``sigma_floor`` is the smallest spread the map will
+    report. The map stores a snapshot of it, see :meth:`ExtendedRfm.to_json`.
+    """
+
+    max_neighbors: int = 20
+    radius: float = 2.0
+    ks_neighbors: int = 20
+    bandwidth: float = 1.0
+    mad_scale: float = 1.4826
+    sigma_floor: float = 0.5
+
+    def __post_init__(self):
+        _require_finite(self)
+        if self.max_neighbors < 1:
+            raise ValueError("max_neighbors must be at least 1")
+        if self.radius <= 0:
+            raise ValueError("radius must be positive")
+        if self.ks_neighbors < 1:
+            raise ValueError("ks_neighbors must be at least 1")
+        if self.bandwidth <= 0:
+            raise ValueError("bandwidth must be positive")
+        if self.mad_scale <= 0:
+            raise ValueError("mad_scale must be positive")
+        if self.sigma_floor <= 0:
+            raise ValueError("sigma_floor must be positive")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, obj: Mapping) -> "BuilderConfig":
+        return cls(**{name: _json_value(obj[name], kind, name)
+                      for name, kind in field_types(cls).items()})
+
+
 @dataclass(frozen=True)
 class PositioningConfig:
     """Hyperparameters of the dissimilarity and iterative positioning scheme.
@@ -194,10 +260,7 @@ class PositioningConfig:
     init_seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        _require_finite(self)
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ValueError("alpha1 and alpha2 must be non-negative")
         if self.beta <= 0:
@@ -310,7 +373,7 @@ class ExtendedRfm:
     """
 
     def __init__(self, locations, feature_ids: Sequence[FeatureId], values, sigmas,
-                 builder_config: "BuilderConfig"):
+                 builder_config: BuilderConfig):
         locations = np.ascontiguousarray(locations, dtype=float)
         values = np.ascontiguousarray(values, dtype=float)
         sigmas = np.ascontiguousarray(sigmas, dtype=float)
@@ -380,7 +443,7 @@ class ExtendedRfm:
         return self._entry_counts
 
     @property
-    def builder_config(self) -> "BuilderConfig":
+    def builder_config(self) -> BuilderConfig:
         return self._config
 
     @property
@@ -438,25 +501,22 @@ class ExtendedRfm:
 
     @classmethod
     def from_json(cls, text: str) -> "ExtendedRfm":
-        from rfmloc.builder import BuilderConfig  # deferred, the config lives with the builder
-
         obj = json.loads(text)
         config = BuilderConfig.from_dict(obj["config"])
         points = obj["points"]
         coords, rows, fids, values, sigmas = [], [], [], [], []
+        number = _JSON_TYPES[float]
         for j, pt in enumerate(points):
             x, y = pt["x"], pt["y"]
-            if not all(type(c) in (int, float) and math.isfinite(c) for c in (x, y)):
+            if not all(type(c) in number and math.isfinite(c) for c in (x, y)):
                 raise ValueError(f"reference point {j} has x={x!r}, y={y!r}; "
                                  f"coordinates must be finite numbers")
             coords.append((x, y))
             entries = pt["entries"]
             for e in entries:
                 fid, v, sigma = e["id"], e["v"], e["sigma"]
-                # type(), not isinstance(): JSON true and false are not numbers
-                if not (type(fid) is str and fid and type(v) in (int, float)
-                        and type(sigma) in (int, float)
-                        and math.isfinite(v) and math.isfinite(sigma)):
+                if not (type(fid) is str and fid and type(v) in number
+                        and type(sigma) in number and math.isfinite(v) and math.isfinite(sigma)):
                     raise ValueError(f"feature {fid!r} at reference point {j} has v={v!r}, "
                                      f"sigma={sigma!r}; feature ids must be non-empty "
                                      f"strings and both values finite numbers")
@@ -535,6 +595,10 @@ def _json_line(line: str):
         raise ValueError(f"invalid JSON: {exc.msg}") from None
 
 
+def _json_location(x, y) -> Location:
+    return Location(_json_value(x, float, "x"), _json_value(y, float, "y"))
+
+
 def fingerprint_to_obj(fp: Fingerprint) -> dict:
     x = fp.location.x if fp.location is not None else None
     y = fp.location.y if fp.location is not None else None
@@ -550,22 +614,20 @@ def fingerprint_from_obj(obj: Mapping, *, missing_value: float | None = -110.0) 
         features = obj["features"]
     except KeyError as exc:
         raise ValueError(f"record is missing the {exc.args[0]!r} field") from None
-    if isinstance(rec_id, bool) or not isinstance(rec_id, int):
-        raise ValueError("record id must be an integer")
+    rec_id = _json_value(rec_id, int, "record id")
     x, y = obj.get("x"), obj.get("y")
     if (x is None) != (y is None):
         raise ValueError("x and y must be both present or both null")
     location = None
     if x is not None:
-        if not isinstance(x, (int, float)) or not isinstance(y, (int, float)):
-            raise ValueError("x and y must be numbers")
-        location = Location(float(x), float(y))
+        location = _json_location(x, y)
     if not isinstance(features, Mapping):
         raise ValueError("features must be an object of feature id to value")
     parsed: dict[FeatureId, float] = {}
+    number = _JSON_TYPES[float]  # _json_value's rule, inlined: this runs for every feature
     for key, value in features.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"feature {key!r} must map to a number")
+        if type(value) not in number:
+            raise ValueError(f"feature {key!r} must be a JSON float, got {value!r}")
         value = float(value)
         if missing_value is not None and value < missing_value:
             raise ValueError(
@@ -612,16 +674,18 @@ def estimate_to_obj(est: PositionEstimate) -> dict:
 
 def estimate_from_obj(obj: Mapping) -> PositionEstimate:
     try:
-        location = Location(float(obj["x"]), float(obj["y"]))
-        tf = Termination(int(obj["tf"]))
-        iterations = int(obj["iterations"])
-        path = tuple(Location(float(x), float(y)) for x, y in obj["path"])
+        location = _json_location(obj["x"], obj["y"])
+        tf = Termination(_json_value(obj["tf"], int, "tf"))
+        iterations = _json_value(obj["iterations"], int, "iterations")
+        path = tuple(_json_location(x, y) for x, y in obj["path"])
+        if not path:
+            raise ValueError("path is empty; it starts with the initialization")
+        loops = obj.get("loop_points")
+        loop_points = None if loops is None else tuple(
+            _json_location(x, y) for x, y in loops)
+        query_id = None if obj.get("id") is None else _json_value(obj["id"], int, "id")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed estimate: {exc}") from None
-    loops = obj.get("loop_points")
-    loop_points = None if loops is None else tuple(
-        Location(float(x), float(y)) for x, y in loops)
-    query_id = obj.get("id")
     return PositionEstimate(location, tf, iterations, path, loop_points, query_id)
 
 

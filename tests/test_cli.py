@@ -1,11 +1,14 @@
 """Command line interface: the full pipeline and its failure modes."""
 
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from rfmloc.cli import run
-from rfmloc.model import read_estimates, read_fingerprints
+from rfmloc.cli import _build_parser, _layer_config, run
+from rfmloc.model import BuilderConfig, PositioningConfig, read_estimates, read_fingerprints
 
 
 @pytest.fixture(scope="module")
@@ -348,6 +351,27 @@ def _bad_input(case, workdir, scored, tmp):
         (tmp / "ok.cfg").write_text("radius = 3.0\n")
         return tmp / "ok.cfg"
 
+    def edit_line(src, lineno, edit, name):
+        lines = src.read_text().splitlines(keepends=True)
+        obj = json.loads(lines[lineno - 1])
+        edit(obj)
+        lines[lineno - 1] = json.dumps(obj) + "\n"
+        (tmp / name).write_text("".join(lines))
+        return tmp / name
+
+    def empty_path_runs():
+        runs = tmp / "runs"
+        runs.mkdir()
+        (runs / "truth.jsonl").write_bytes(obs.read_bytes())
+        edit_line(knn, 2, lambda e: e.update(path=[]), "runs/knn.jsonl")
+        return runs
+
+    def bad_config_block(key, value):
+        obj = json.loads(rfm.read_text())
+        obj["config"][key] = value
+        (tmp / "map.json").write_text(json.dumps(obj))
+        return tmp / "map.json"
+
     cases = {
         "missing-raw": lambda: (build(raw=missing), f"{missing}: ", None),
         "missing-rfm": lambda: (locate(rfm=missing), f"{missing}: ", None),
@@ -394,6 +418,21 @@ def _bad_input(case, workdir, scored, tmp):
                                           f"{tmp / 'e.jsonl'}:4: ", "does not match"),
         "config-ok-flag-nan": lambda: (build("--config", str(ok_config()), "--bandwidth",
                                              "nan"), "bandwidth must be finite", None),
+        "estimates-empty-path": lambda: (
+            evaluate(estimates=edit_line(knn, 2, lambda e: e.update(path=[]), "e.jsonl")),
+            f"{tmp / 'e.jsonl'}:2: ", "path is empty"),
+        "report-empty-path": lambda: (["report", "--runs", str(empty_path_runs())],
+                                      f"{tmp / 'runs' / 'knn.jsonl'}:2: ", "path is empty"),
+        "survey-x-true": lambda: (
+            build(raw=edit_line(raw, 2, lambda r: r.update(x=True, y=False), "raw.jsonl")),
+            f"{tmp / 'raw.jsonl'}:2: ", "x must be"),
+        "estimates-iterations-float": lambda: (
+            evaluate(estimates=edit_line(knn, 3, lambda e: e.update(iterations=2.7),
+                                         "e.jsonl")),
+            f"{tmp / 'e.jsonl'}:3: ", "iterations must be"),
+        "map-config-radius-string": lambda: (locate(rfm=bad_config_block("radius", "2.0")),
+                                             f"{tmp / 'map.json'}: invalid reference map: ",
+                                             "radius must be"),
     }
     return cases[case]()
 
@@ -403,7 +442,9 @@ def _bad_input(case, workdir, scored, tmp):
     "out-in-missing-dir", "ff-survey", "ff-query", "ff-estimates", "ff-config",
     "int-overflow-survey", "report-reversed", "nan-bandwidth", "nan-beta",
     "nan-converge-tol", "n-aps-0", "map-id-not-string", "map-v-true", "map-id-twice",
-    "map-x-string", "map-y-true", "estimates-blank-lines", "config-ok-flag-nan"])
+    "map-x-string", "map-y-true", "estimates-blank-lines", "config-ok-flag-nan",
+    "estimates-empty-path", "report-empty-path", "survey-x-true", "estimates-iterations-float",
+    "map-config-radius-string"])
 def test_bad_input_exits_1_with_one_error_line(workdir, scored, tmp_path, capsys, case):
     argv, prefix, phrase = _bad_input(case, workdir, scored, tmp_path)
     assert run(argv) == 1
@@ -413,3 +454,51 @@ def test_bad_input_exits_1_with_one_error_line(workdir, scored, tmp_path, capsys
     assert "Traceback" not in err
     if phrase is not None:
         assert phrase in err
+
+
+def _config_fields():
+    return [(cls, f.name) for cls in (BuilderConfig, PositioningConfig) for f in fields(cls)]
+
+
+# Two non-default values per str field: (flag text, field value). The flag's
+# choices stand for the field's values, which the config file names directly.
+_STR_VALUES = {"weight_form": [("paper", "paper_verbatim"), ("precision", "precision_softmax")],
+               "init_mode": [("random", "random"), ("knn", "knn")]}
+
+
+def _other_values(cls, name):
+    """Two (flag text, field value) pairs; the first differs from the default."""
+    if name in _STR_VALUES:
+        return _STR_VALUES[name]
+    default = getattr(cls(), name)
+    values = [default + 1, default + 2] if type(default) is int else [default * 2, default * 3]
+    return [(repr(v), v) for v in values]
+
+
+def _parse_config(cls, tmp_path, flags=(), file_text=None):
+    argv = (["build", "--raw", "r", "--out", "o"] if cls is BuilderConfig
+            else ["locate", "--rfm", "m", "--obs", "q", "--out", "o"])
+    if file_text is not None:
+        (tmp_path / "c.cfg").write_text(file_text)
+        argv += ["--config", str(tmp_path / "c.cfg")]
+    return _layer_config(cls, _build_parser().parse_args(argv + list(flags)))
+
+
+@pytest.mark.parametrize("cls, name", _config_fields(),
+                         ids=[name for _, name in _config_fields()])
+def test_every_config_field_has_a_flag_and_a_file_key(tmp_path, cls, name):
+    (flag_text, value), (other_text, other) = _other_values(cls, name)
+    flag = "--seed" if name == "init_seed" else "--" + name.replace("_", "-")
+    assert getattr(_parse_config(cls, tmp_path, [f"{flag}={flag_text}"]), name) == value
+    assert getattr(_parse_config(cls, tmp_path, file_text=f"{name} = {value}\n"), name) == value
+    layered = _parse_config(cls, tmp_path, [f"{flag}={other_text}"], f"{name} = {value}\n")
+    assert getattr(layered, name) == other
+
+
+@pytest.mark.parametrize("command", ["build", "locate"])
+def test_readme_names_every_flag(capsys, command):
+    with pytest.raises(SystemExit):
+        run([command, "--help"])
+    flags = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) - {"--help"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert sorted(f for f in flags if not re.search(re.escape(f) + r"(?![a-z0-9-])", readme)) == []

@@ -146,6 +146,13 @@ class TestFingerprintJsonLines:
         with pytest.raises(DataError):
             read_fingerprints(path)
 
+    @pytest.mark.parametrize("edit", [{"x": True, "y": False}, {"x": "1.5"}, {"id": 2.0},
+                                      {"id": True}, {"features": {"a": "-60"}}])
+    def test_fields_must_be_json_numbers(self, edit):
+        obj = {"id": 0, "x": 1.0, "y": 2.0, "features": {"a": -60.0}, **edit}
+        with pytest.raises(ValueError, match="must be a JSON"):
+            fingerprint_from_obj(obj)
+
 
 class TestExtendedRfmSerialization:
     def test_round_trip_preserves_entries(self):
@@ -193,6 +200,20 @@ class TestExtendedRfmSerialization:
         assert back.builder_config == BuilderConfig()
         assert back.to_json() == rfm.to_json()
         assert legacy.keys().isdisjoint(json.loads(back.to_json())["config"])
+
+    @pytest.mark.parametrize("key, value", [("radius", "2.0"), ("radius", True),
+                                            ("max_neighbors", 20.0), ("ks_neighbors", "20")])
+    def test_config_block_values_must_be_json_numbers(self, key, value):
+        rfm = make_rfm([[0.0, 0.0], [3.0, 4.0]], ["a"], [[-60.0], [-70.0]])
+        obj = json.loads(rfm.to_json())
+        obj["config"][key] = value
+        with pytest.raises(ValueError, match=f"{key} must be a JSON"):
+            ExtendedRfm.from_json(json.dumps(obj))
+
+    def test_builder_config_lives_with_the_map_format(self):
+        import rfmloc.builder
+        import rfmloc.model
+        assert rfmloc.builder.BuilderConfig is rfmloc.model.BuilderConfig
 
     def test_layers_must_align(self):
         with pytest.raises(ValueError):
@@ -351,3 +372,16 @@ class TestEstimateWire:
         obj = estimate_to_obj(est)
         assert obj["loop_points"] is None
         assert estimate_from_obj(obj).loop_points is None
+
+    @pytest.mark.parametrize("edit", [{"x": "1.5"}, {"y": None}, {"tf": True}, {"tf": 1.0},
+                                      {"iterations": 2.7}, {"iterations": "2"}, {"id": True},
+                                      {"id": 1.0}, {"path": []}, {"path": [["1.0", 2.0]]},
+                                      {"loop_points": [[1.0, True]]}])
+    def test_rejects_what_the_writer_never_writes(self, edit):
+        from rfmloc.model import PositionEstimate
+        est = PositionEstimate(Location(1.0, 2.0), Termination.LOOPING, 3,
+                               (Location(0.0, 0.0), Location(1.0, 2.0)),
+                               (Location(1.0, 2.0), Location(1.0, 2.1)), 1)
+        obj = {**estimate_to_obj(est), **edit}
+        with pytest.raises(ValueError, match="malformed estimate"):
+            estimate_from_obj(obj)
