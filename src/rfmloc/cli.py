@@ -142,35 +142,34 @@ def _cmd_locate(args) -> int:
     return 0
 
 
-def _check_aligned(numbered, truth_records, source) -> list:
-    """The estimates of ``numbered`` (line, estimate) pairs, which must pair
-    up with the truth records: same count, and the same id record by record
-    wherever the estimate carries one."""
+def _read_run(path, truth_records) -> list:
+    """The estimates in ``path``, which must pair up with the truth records:
+    same count, and the same id record by record wherever the estimate
+    carries one."""
+    numbered = read_estimates(path, numbered=True)
     if len(numbered) != len(truth_records):
         raise DataError(f"{len(numbered)} estimates but {len(truth_records)} "
-                        f"truth records", source=source)
+                        f"truth records", source=path)
     for (line, est), rec in zip(numbered, truth_records):
         if est.query_id is not None and est.query_id != rec.id:
             raise DataError(f"estimate id {est.query_id} does not match truth id "
-                            f"{rec.id}", source=source, line=line)
+                            f"{rec.id}", source=path, line=line)
     return [est for _, est in numbered]
 
 
 def _cmd_eval(args) -> int:
-    numbered = read_estimates(args.estimates, numbered=True)
     truth_records = read_fingerprints(args.truth, require_location=True)
-    estimates = _check_aligned(numbered, truth_records, args.estimates)
+    estimates = _read_run(args.estimates, truth_records)
     truth = [rec.location for rec in truth_records]
     errors = evaluate.radial_errors(estimates, truth)
     shares = evaluate.tf_stats(estimates)
-    row = [len(errors), *(evaluate.circular_error(errors, pct) for pct in (50, 75, 90, 100)),
-           shares["converging"], shares["looping"], shares["max"]]
+    header = ",".join(["n", evaluate.ERROR_COLUMNS, *(f"frac_{state}" for state in shares)])
     write_lines(args.out, evaluate.csv_lines(
-        "n,ce50,ce75,ce90,max_error,frac_converging,frac_looping,frac_max", [row]))
+        header, [(len(errors), *evaluate.error_row(errors), *shares.values())]))
     if args.ecdf_out:
         write_lines(args.ecdf_out, evaluate.ecdf_lines(errors))
     if args.errors_out:
-        rows = [(loc.x, loc.y, err) for loc, err in evaluate.error_map(estimates, truth)]
+        rows = [(loc.x, loc.y, err) for loc, err in zip(truth, errors)]
         write_lines(args.errors_out, evaluate.csv_lines("x,y,error", rows))
     print(f"scored {len(errors)} estimates into {args.out}")
     return 0
@@ -182,16 +181,18 @@ def _cmd_report(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else runs_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     truth_records = read_fingerprints(truth_path, require_location=True)
-    truth = [rec.location for rec in truth_records]
     runs = {}
     for path in sorted(runs_dir.glob("*.jsonl")):
         if path.resolve() == truth_path.resolve():
             continue
-        runs[path.stem] = _check_aligned(read_estimates(path, numbered=True),
-                                         truth_records, path)
+        # a run is named by its file stem, which becomes a report.csv cell
+        if path.stem == "opt" or "," in path.stem:
+            raise DataError(f"cannot name a run {path.stem!r}: 'opt' is the row of the "
+                            f"path lower bound and a ',' would split the row", source=path)
+        runs[path.stem] = _read_run(path, truth_records)
     if not runs:
         raise DataError("no estimate files found", source=runs_dir)
-    table = evaluate.compare_report(runs, truth)
+    table = evaluate.compare_report(runs, [rec.location for rec in truth_records])
     write_lines(out_dir / "report.csv", table.csv_lines())
     for name, errors in table.errors.items():
         write_lines(out_dir / f"{name}_ecdf.csv", evaluate.ecdf_lines(errors))

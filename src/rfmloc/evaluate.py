@@ -20,15 +20,21 @@ class EmptyInput(ValueError):
     """A statistic was requested over no data."""
 
 
-def radial_errors(estimates: Sequence[PositionEstimate],
-                  truth: Sequence[Location]) -> list[float]:
-    """Euclidean distance between each estimate and its ground truth,
-    aligned by index."""
+def _pairs(estimates: Sequence[PositionEstimate], truth: Sequence[Location]):
+    """(estimate, truth location) pairs, aligned by index; the two sequences
+    must be equally long and not empty."""
     if len(estimates) != len(truth):
         raise LengthMismatch(f"{len(estimates)} estimates vs {len(truth)} truth locations")
     if not estimates:
         raise EmptyInput("no estimates to score")
-    return [est.location.distance_to(loc) for est, loc in zip(estimates, truth)]
+    return zip(estimates, truth)
+
+
+def radial_errors(estimates: Sequence[PositionEstimate],
+                  truth: Sequence[Location]) -> list[float]:
+    """Euclidean distance between each estimate and its ground truth,
+    aligned by index."""
+    return [est.location.distance_to(loc) for est, loc in _pairs(estimates, truth)]
 
 
 def ecdf(errors: Sequence[float]) -> list[tuple[float, float]]:
@@ -79,23 +85,20 @@ def loop_diameters(estimates: Sequence[PositionEstimate]) -> list[float]:
     return [loop_diameter(est.loop_points) for est in estimates if est.loop_points]
 
 
-def error_map(estimates: Sequence[PositionEstimate],
-              truth: Sequence[Location]) -> list[tuple[Location, float]]:
-    """(ground-truth location, radial error) pairs for external plotting."""
-    errors = radial_errors(estimates, truth)
-    return list(zip(truth, errors))
-
-
 def opt_errors(estimates: Sequence[PositionEstimate],
                truth: Sequence[Location]) -> list[float]:
     """Per query, the error of the searched location closest to ground truth;
     a lower bound on what any selection rule over the path could achieve."""
-    if len(estimates) != len(truth):
-        raise LengthMismatch(f"{len(estimates)} estimates vs {len(truth)} truth locations")
-    if not estimates:
-        raise EmptyInput("no estimates to score")
-    return [min(p.distance_to(loc) for p in est.path)
-            for est, loc in zip(estimates, truth)]
+    return [min(p.distance_to(loc) for p in est.path) for est, loc in _pairs(estimates, truth)]
+
+
+ERROR_COLUMNS = "ce50,ce75,ce90,max_error"
+
+
+def error_row(errors: Sequence[float]) -> tuple[float, float, float, float]:
+    """The :data:`ERROR_COLUMNS` of one run: its circular errors at 50, 75
+    and 90 percent, and its maximum error."""
+    return tuple(circular_error(errors, pct) for pct in (50, 75, 90, 100))
 
 
 @dataclass(frozen=True)
@@ -108,10 +111,7 @@ class ReportTable:
     errors: Mapping[str, Sequence[float]]
 
     def csv_lines(self) -> list[str]:
-        return csv_lines("method,ce50,ce75,ce90,max_error", self.rows)
-
-    def to_csv(self) -> str:
-        return "".join(line + "\n" for line in self.csv_lines())
+        return csv_lines("method," + ERROR_COLUMNS, self.rows)
 
 
 def csv_lines(header: str, rows: Iterable[Sequence]) -> list[str]:
@@ -125,29 +125,19 @@ def ecdf_lines(errors: Sequence[float]) -> list[str]:
     return csv_lines("error,fraction", ecdf(errors))
 
 
-def ecdf_csv(errors: Sequence[float]) -> str:
-    return "".join(line + "\n" for line in ecdf_lines(errors))
-
-
 def compare_report(runs: Mapping[str, Sequence[PositionEstimate]],
                    truth: Sequence[Location]) -> ReportTable:
     """Circular error summary for several methods over one query set.
 
     When a run named ``iterative`` is present, an extra "opt" row reports
-    its per-query best searched location, the selection lower bound.
+    its per-query best searched location, the selection lower bound; no
+    run may be named "opt".
     """
     if not runs:
         raise EmptyInput("no runs to compare")
-    rows = []
-    errors: dict[str, list[float]] = {}
-    for name, estimates in runs.items():
-        errs = radial_errors(estimates, truth)
-        errors[name] = errs
-        rows.append((name, circular_error(errs, 50), circular_error(errs, 75),
-                     circular_error(errs, 90), circular_error(errs, 100)))
+    if "opt" in runs:
+        raise ValueError('"opt" is the row of the path lower bound, not a run name')
+    errors = {name: radial_errors(estimates, truth) for name, estimates in runs.items()}
     if "iterative" in runs:
-        errs = opt_errors(runs["iterative"], truth)
-        errors["opt"] = errs
-        rows.append(("opt", circular_error(errs, 50), circular_error(errs, 75),
-                     circular_error(errs, 90), circular_error(errs, 100)))
-    return ReportTable(tuple(rows), errors)
+        errors["opt"] = opt_errors(runs["iterative"], truth)
+    return ReportTable(tuple((name, *error_row(errs)) for name, errs in errors.items()), errors)

@@ -99,7 +99,8 @@ class Rect:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "Rect":
-        return cls(float(obj["xmin"]), float(obj["ymin"]), float(obj["xmax"]), float(obj["ymax"]))
+        return cls(*(_json_value(obj[key], float, key)
+                     for key in ("xmin", "ymin", "xmax", "ymax")))
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from rfmloc.model import (FeatureId, Fingerprint, Location, RawRfm, Rect, read_document,
-                          write_lines)
+from rfmloc.model import (FeatureId, Fingerprint, Location, RawRfm, Rect, _json_location,
+                          _json_value, read_document, write_lines)
 
 _LEGS_PER_PASS = 10
 _TEST_SHARE = 0.2
@@ -96,16 +96,19 @@ class SyntheticEnvironment:
         aps = []
         fields = []
         for entry in obj["aps"]:
-            aps.append(AccessPoint(entry["id"],
-                                   Location(float(entry["x"]), float(entry["y"])),
-                                   float(entry["tx_power"]), float(entry["exponent"])))
+            aps.append(AccessPoint(_json_value(entry["id"], str, "id"),
+                                   _json_location(entry["x"], entry["y"]),
+                                   _json_value(entry["tx_power"], float, "tx_power"),
+                                   _json_value(entry["exponent"], float, "exponent")))
             noise = entry["noise"]
-            fields.append(BumpField(float(noise["base"]),
-                                    tuple(tuple(map(float, b)) for b in noise["bumps"]),
-                                    float(noise["lo"]), float(noise["hi"])))
-        return cls(int(obj["seed"]), Rect.from_dict(obj["roi"]), tuple(aps),
-                   tuple(fields), float(obj["sensitivity"]),
-                   float(obj["contamination"]))
+            fields.append(BumpField(
+                _json_value(noise["base"], float, "base"),
+                tuple(tuple(_json_value(v, float, "bump") for v in b) for b in noise["bumps"]),
+                _json_value(noise["lo"], float, "lo"), _json_value(noise["hi"], float, "hi")))
+        return cls(_json_value(obj["seed"], int, "seed"), Rect.from_dict(obj["roi"]),
+                   tuple(aps), tuple(fields),
+                   _json_value(obj["sensitivity"], float, "sensitivity"),
+                   _json_value(obj["contamination"], float, "contamination"))
 
     def save(self, path) -> None:
         write_lines(path, [self.to_json()])

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from rfmloc.cli import _build_parser, _layer_config, run
+from rfmloc.evaluate import radial_errors
 from rfmloc.model import BuilderConfig, PositioningConfig, read_estimates, read_fingerprints
 
 
@@ -252,6 +253,30 @@ class TestEvalAndReport:
         assert sum(fracs) == pytest.approx(1.0)
         assert ecdf_out.read_text().startswith("error,fraction\n")
 
+    def test_eval_errors_out(self, scored, workdir, tmp_path):
+        out = tmp_path / "errors.csv"
+        assert run(["eval", "--estimates", str(scored / "iterative.jsonl"),
+                    "--truth", str(workdir / "test.jsonl"), "--out", str(tmp_path / "s.csv"),
+                    "--errors-out", str(out)]) == 0
+        header, *rows = out.read_text().strip().split("\n")
+        assert header == "x,y,error"
+        truth = [rec.location for rec in read_fingerprints(workdir / "test.jsonl")]
+        errors = radial_errors(read_estimates(scored / "iterative.jsonl"), truth)
+        assert [tuple(map(float, row.split(","))) for row in rows] == [
+            (loc.x, loc.y, err) for loc, err in zip(truth, errors)]
+
+    def test_eval_and_report_score_a_run_alike(self, scored, tmp_path):
+        stats, ecdf_out, out_dir = tmp_path / "stats.csv", tmp_path / "ecdf.csv", tmp_path / "rep"
+        assert run(["eval", "--estimates", str(scored / "iterative.jsonl"),
+                    "--truth", str(scored / "truth.jsonl"), "--out", str(stats),
+                    "--ecdf-out", str(ecdf_out)]) == 0
+        assert run(["report", "--runs", str(scored), "--out-dir", str(out_dir)]) == 0
+        stats_row = stats.read_text().split("\n")[1].split(",")
+        report_rows = {line.split(",")[0]: line.split(",")[1:]
+                       for line in (out_dir / "report.csv").read_text().split("\n")[1:] if line}
+        assert stats_row[1:5] == report_rows["iterative"]
+        assert ecdf_out.read_bytes() == (out_dir / "iterative_ecdf.csv").read_bytes()
+
     def test_eval_rejects_mismatched_ids(self, scored, tmp_path, capsys):
         shuffled = tmp_path / "shuffled.jsonl"
         lines = (scored / "truth.jsonl").read_text().strip().split("\n")
@@ -366,6 +391,13 @@ def _bad_input(case, workdir, scored, tmp):
         edit_line(knn, 2, lambda e: e.update(path=[]), "runs/knn.jsonl")
         return runs
 
+    def run_named(stem):
+        runs = tmp / "runs"
+        runs.mkdir()
+        (runs / "truth.jsonl").write_bytes(obs.read_bytes())
+        (runs / f"{stem}.jsonl").write_bytes(knn.read_bytes())
+        return runs
+
     def bad_config_block(key, value):
         obj = json.loads(rfm.read_text())
         obj["config"][key] = value
@@ -433,6 +465,12 @@ def _bad_input(case, workdir, scored, tmp):
         "map-config-radius-string": lambda: (locate(rfm=bad_config_block("radius", "2.0")),
                                              f"{tmp / 'map.json'}: invalid reference map: ",
                                              "radius must be"),
+        "report-run-named-opt": lambda: (["report", "--runs", str(run_named("opt"))],
+                                         f"{tmp / 'runs' / 'opt.jsonl'}: ",
+                                         "cannot name a run 'opt'"),
+        "report-run-name-comma": lambda: (["report", "--runs", str(run_named("knn,k1"))],
+                                          f"{tmp / 'runs' / 'knn,k1.jsonl'}: ",
+                                          "cannot name a run 'knn,k1'"),
     }
     return cases[case]()
 
@@ -444,7 +482,7 @@ def _bad_input(case, workdir, scored, tmp):
     "nan-converge-tol", "n-aps-0", "map-id-not-string", "map-v-true", "map-id-twice",
     "map-x-string", "map-y-true", "estimates-blank-lines", "config-ok-flag-nan",
     "estimates-empty-path", "report-empty-path", "survey-x-true", "estimates-iterations-float",
-    "map-config-radius-string"])
+    "map-config-radius-string", "report-run-named-opt", "report-run-name-comma"])
 def test_bad_input_exits_1_with_one_error_line(workdir, scored, tmp_path, capsys, case):
     argv, prefix, phrase = _bad_input(case, workdir, scored, tmp_path)
     assert run(argv) == 1

@@ -5,9 +5,9 @@ import math
 import pytest
 
 from rfmloc.evaluate import (EmptyInput, LengthMismatch, circular_error,
-                             compare_report, ecdf, ecdf_csv, error_map,
-                             loop_diameters, opt_errors, radial_errors, tf_stats)
-from rfmloc.model import Location, PositionEstimate, Termination
+                             compare_report, ecdf, ecdf_lines, loop_diameters,
+                             opt_errors, radial_errors, tf_stats)
+from rfmloc.model import Location, PositionEstimate, Termination, write_lines
 
 
 def est(x, y, tf=Termination.CONVERGING, path=None, loop=None, qid=0):
@@ -151,12 +151,6 @@ class TestOptErrors:
             assert opt <= final + 1e-12
 
 
-class TestErrorMap:
-    def test_pairs_truth_with_error(self):
-        got = error_map([est(0, 0)], [Location(3.0, 4.0)])
-        assert got == [(Location(3.0, 4.0), 5.0)]
-
-
 class TestCompareReport:
     def _runs(self):
         truth = [Location(0.0, 0.0), Location(10.0, 0.0)]
@@ -192,18 +186,25 @@ class TestCompareReport:
         table = compare_report({"knn": runs["knn"]}, truth)
         assert [r[0] for r in table.rows] == ["knn"]
 
-    def test_csv_shape(self):
+    def test_csv_shape(self, tmp_path):
         runs, truth = self._runs()
-        text = compare_report(runs, truth).to_csv()
+        write_lines(tmp_path / "report.csv", compare_report(runs, truth).csv_lines())
+        text = (tmp_path / "report.csv").read_text()
         lines = text.strip().split("\n")
         assert lines[0] == "method,ce50,ce75,ce90,max_error"
         assert len(lines) == 4
         assert text.endswith("\n")
 
-    def test_ecdf_csv_shape(self):
-        text = ecdf_csv([1.0, 2.0])
+    def test_ecdf_csv_shape(self, tmp_path):
+        write_lines(tmp_path / "ecdf.csv", ecdf_lines([1.0, 2.0]))
+        text = (tmp_path / "ecdf.csv").read_text()
         assert text == "error,fraction\n1.0,0.5\n2.0,1.0\n"
 
     def test_empty_runs(self):
         with pytest.raises(EmptyInput):
             compare_report({}, [])
+
+    def test_run_named_opt(self):
+        runs, truth = self._runs()
+        with pytest.raises(ValueError, match="opt"):
+            compare_report({"opt": runs["knn"], "iterative": runs["iterative"]}, truth)

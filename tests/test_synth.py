@@ -1,5 +1,6 @@
 """Synthetic environments: propagation, noise fields, survey simulation."""
 
+import json
 import math
 
 import numpy as np
@@ -135,6 +136,20 @@ class TestMakeEnvironment:
         path = tmp_path / "env.json"
         env.save(path)
         assert SyntheticEnvironment.load(path) == env
+
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj.update(seed=2.7),
+        lambda obj: obj["aps"][0].update(x="1.5"),
+        lambda obj: obj.update(sensitivity=True),
+        lambda obj: obj["roi"].update(xmax="50"),
+    ], ids=["seed-float", "ap-x-string", "sensitivity-true", "roi-xmax-string"])
+    def test_load_applies_the_json_number_rule(self, tmp_path, edit):
+        obj = json.loads(make_environment(3).to_json())
+        edit(obj)
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataError, match="must be a JSON"):
+            SyntheticEnvironment.load(path)
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "env.json"
