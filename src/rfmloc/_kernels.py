@@ -1,4 +1,4 @@
-"""The batch dissimilarity kernel.
+"""The batch dissimilarity kernel, in two stages.
 
 ``ref`` is the reference value matrix (n_points, n_features) with NaN
 marking absent features, ``obs`` the observation vector aligned to the
@@ -12,6 +12,17 @@ Unshared features are scored by substitution: an absent value reads as
 ``missing_value``, and the term is scaled by ``alpha2`` where only the
 reference has the feature and by ``alpha1`` otherwise. A cell absent on
 both sides then compares ``missing_value`` with itself and adds 0.
+
+``cdm_terms`` computes the weight-free part, the per-cell scale and
+Minkowski term, once per observation; ``cdm_reduce`` applies one weight
+vector to it. The iterative search changes only the weights, so it
+reduces the same terms once per iteration.
+
+Every stage takes ``out``: C-ordered float arrays shaped like ``ref`` to
+compute in, so a caller that keeps them allocates no array of that size
+per call. Allocated and freed once per search or iteration, arrays that
+large were handed back to the operating system and page-faulted in again
+each time, most of all on worker threads.
 """
 
 from __future__ import annotations
@@ -24,13 +35,40 @@ from rfmloc.dissim import feature_distance
 BACKEND = "numpy"
 
 
-def cdm_batch(ref: np.ndarray, obs: np.ndarray, weights: np.ndarray,
-              alpha1: float, alpha2: float, missing_value: float,
-              p: float, base: float) -> np.ndarray:
-    """Weighted compound dissimilarity of one observation against every row."""
+def cdm_terms(ref: np.ndarray, obs: np.ndarray, alpha1: float, alpha2: float,
+              missing_value: float, p: float,
+              out: tuple[np.ndarray, np.ndarray] | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell scale (1, ``alpha1`` or ``alpha2``) and term |obs - ref| ** p,
+    both shaped like ``ref``; written into the pair ``out`` when given."""
     ref_present = np.isfinite(ref)
     obs_present = np.isfinite(obs)
-    scale = np.where(ref_present, np.where(obs_present, 1.0, alpha2), alpha1)
-    terms = feature_distance(np.where(obs_present, obs, missing_value),
-                             np.where(ref_present, ref, missing_value), p)
-    return (weights * scale * terms).sum(axis=1) + base
+    scale, terms = (np.empty(ref.shape), np.empty(ref.shape)) if out is None else out
+    # putmask repeats a short value array over the cells in row-major order:
+    # one value per column
+    scale[...] = alpha1
+    np.putmask(scale, ref_present, np.where(obs_present, 1.0, alpha2))
+    terms[...] = missing_value
+    np.putmask(terms, ref_present, ref)
+    feature_distance(np.where(obs_present, obs, missing_value), terms, p, out=terms)
+    return scale, terms
+
+
+def cdm_reduce(scale: np.ndarray, terms: np.ndarray, weights: np.ndarray,
+               base: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Weighted row sums of ``cdm_terms``' output, plus ``base``; the
+    weighted cells are computed in ``out`` when given."""
+    cells = np.multiply(weights, scale, out=out)
+    np.multiply(cells, terms, out=cells)
+    return cells.sum(axis=1) + base
+
+
+def cdm_batch(ref: np.ndarray, obs: np.ndarray, weights: np.ndarray,
+              alpha1: float, alpha2: float, missing_value: float,
+              p: float, base: float,
+              out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Weighted compound dissimilarity of one observation against every row;
+    ``out`` holds three work arrays shaped like ``ref``."""
+    scale, terms = cdm_terms(ref, obs, alpha1, alpha2, missing_value, p,
+                             None if out is None else out[:2])
+    return cdm_reduce(scale, terms, weights, base, None if out is None else out[2])

@@ -179,7 +179,6 @@ def _cmd_report(args) -> int:
     runs_dir = Path(args.runs)
     truth_path = Path(args.truth) if args.truth else runs_dir / "truth.jsonl"
     out_dir = Path(args.out_dir) if args.out_dir else runs_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     truth_records = read_fingerprints(truth_path, require_location=True)
     runs = {}
     for path in sorted(runs_dir.glob("*.jsonl")):
@@ -193,6 +192,7 @@ def _cmd_report(args) -> int:
     if not runs:
         raise DataError("no estimate files found", source=runs_dir)
     table = evaluate.compare_report(runs, [rec.location for rec in truth_records])
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once there is a report to write
     write_lines(out_dir / "report.csv", table.csv_lines())
     for name, errors in table.errors.items():
         write_lines(out_dir / f"{name}_ecdf.csv", evaluate.ecdf_lines(errors))

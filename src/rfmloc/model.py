@@ -348,18 +348,24 @@ def nearest_carriers_nw(d: np.ndarray, present: np.ndarray, layers: Sequence[np.
     estimates = np.empty((len(layers), out_features.size))
     sizes = counts[out_features]
     n_features = present.shape[1]
+    # Gathers index flat (1-D) arrays and writes go to one row at a time:
+    # numpy releases the GIL for every take and every 2-D fancy index,
+    # however small, and per group those hand-offs stall threaded callers.
+    ranked_flat = ranked.ravel()
+    offsets = n_features * np.arange(min(ks, order.size))  # of each rank's row in ranked_flat
+    flat_layers = [layer.ravel() for layer in layers]
     for size in set(sizes.tolist()):
         group = sizes == size
         feats = out_features[group]
-        support = order[ranked[:size, feats].T]
+        support = order[ranked_flat[feats[:, None] + offsets[:size]]]
         u = d[support] / bandwidth
         logw = -0.5 * u * u
         # supports run nearest first, so column 0 holds each row's largest log-weight
         w = np.exp(logw - logw[:, :1])
         wsum = w.sum(axis=1)
         cells = support * n_features + feats[:, None]
-        for i, layer in enumerate(layers):
-            estimates[i, group] = (w * layer.take(cells)).sum(axis=1) / wsum
+        for row, flat in zip(estimates, flat_layers):
+            row[group] = (w * flat[cells]).sum(axis=1) / wsum
     return out_features, estimates
 
 

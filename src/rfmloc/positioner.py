@@ -13,6 +13,7 @@ matches the observation.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import combinations
@@ -23,50 +24,125 @@ import numpy as np
 from rfmloc import _kernels
 from rfmloc.dissim import (EmptyComparison, WeightVector, feature_distance, mji,
                            softmax_weights)
-from rfmloc.model import (ExtendedRfm, Fingerprint, Location, PositionEstimate,
-                          PositioningConfig, RfmEntry, Termination, attributes)
+from rfmloc.model import (ExtendedRfm, FeatureId, Fingerprint, Location,
+                          PositionEstimate, PositioningConfig, RfmEntry, Termination,
+                          attributes)
+
+
+_UNIT_WEIGHTS = WeightVector({}, 1.0)
+_work = threading.local()
+
+
+def _work_arrays(rfm: ExtendedRfm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The calling thread's three kernel work arrays, shaped like the map.
+
+    Kept per thread, so that no search or iteration allocates map-sized
+    arrays, and reused by every comparison with a map of that shape: one
+    search holds them from its first lookup to its end, and nothing else
+    runs on the thread in between.
+    """
+    arrays = getattr(_work, "arrays", None)
+    if arrays is None or arrays[0].shape != rfm.values.shape:
+        arrays = _work.arrays = tuple(np.empty(rfm.values.shape) for _ in range(3))
+    return arrays
 
 
 class InsufficientPoints(ValueError):
     """Too few points for a covariance-based center estimate."""
 
 
-def _universe_projection(obs: Fingerprint, rfm: ExtendedRfm,
-                         wv: WeightVector, cfg: PositioningConfig):
-    """Align the observation and weights with the map's feature universe.
+class _Comparison:
+    """One observation set against the map, before any weighting.
 
-    Returns the observation vector (NaN for unmeasured universe features),
-    the per-universe weight vector, and the constant contribution of
-    observed features the map has never seen (identical for every
-    reference point, kept so the batch values match the per-pair
-    definition exactly).
+    Holds what the dissimilarity needs that no weight vector changes: the
+    observation aligned with the map's feature universe (NaN for
+    unmeasured features), the distances of observed features the map has
+    never seen (their weighted sum is a constant for every reference
+    point, kept so the batch values match the per-pair definition
+    exactly), and, on first use, the kernel's weight-free terms. A search
+    builds one and re-weights it every iteration.
     """
-    fids = rfm.feature_ids
-    weights = np.fromiter((wv.get(f) for f in fids), dtype=float, count=len(fids))
-    obs_vec = np.full(len(fids), np.nan)
-    base = 0.0
-    index = rfm.feature_index
-    for a, v in obs.features.items():
-        f = index.get(a)
-        if f is None:
-            base += cfg.alpha1 * wv.get(a) * feature_distance(v, cfg.missing_value,
-                                                              cfg.minkowski_p)
-        else:
-            obs_vec[f] = v
-    return obs_vec, weights, base
+
+    def __init__(self, obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig):
+        if not obs.features and (rfm.entry_counts == 0).any():
+            raise EmptyComparison(f"query {obs.id} has no features and the map has "
+                                  "reference points without any")
+        self.rfm = rfm
+        self.cfg = cfg
+        self.obs_vec = np.full(len(rfm.feature_ids), np.nan)
+        self.outside: list[tuple[FeatureId, float]] = []
+        index = rfm.feature_index
+        for a, v in obs.features.items():
+            f = index.get(a)
+            if f is None:
+                self.outside.append((a, feature_distance(v, cfg.missing_value,
+                                                         cfg.minkowski_p)))
+            else:
+                self.obs_vec[f] = v
+        self._terms: tuple[np.ndarray, np.ndarray] | None = None
+
+    def weights(self, wv: WeightVector) -> np.ndarray:
+        """``wv`` aligned with the map's feature universe."""
+        get, low = wv.weights.get, wv.min_weight
+        return np.array([get(f, low) for f in self.rfm.feature_ids], dtype=float)
+
+    def base(self, wv: WeightVector) -> float:
+        """The weighted contribution of the features outside the universe."""
+        base = 0.0
+        for a, d in self.outside:
+            base += self.cfg.alpha1 * wv.get(a) * d
+        return base
+
+    def dissimilarities(self, wv: WeightVector) -> np.ndarray:
+        """``dissimilarities`` for this observation, from the cached terms."""
+        if self._terms is None:
+            cfg = self.cfg
+            *terms_out, self._cells = _work_arrays(self.rfm)
+            self._terms = _kernels.cdm_terms(self.rfm.values, self.obs_vec, cfg.alpha1,
+                                             cfg.alpha2, cfg.missing_value, cfg.minkowski_p,
+                                             out=terms_out)
+        return _kernels.cdm_reduce(*self._terms, self.weights(wv), self.base(wv),
+                                   out=self._cells)
 
 
 def dissimilarities(obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig,
                     wv: WeightVector | None = None) -> np.ndarray:
     """Weighted compound dissimilarity of ``obs`` against every reference point."""
-    if not obs.features and (rfm.entry_counts == 0).any():
-        raise EmptyComparison(f"query {obs.id} has no features and the map has "
-                              "reference points without any")
     if wv is None:
-        wv = WeightVector({}, 1.0)
-    obs_vec, weights, base = _universe_projection(obs, rfm, wv, cfg)
-    return _kernels.cdm_batch(rfm.values, obs_vec, weights, cfg.alpha1, cfg.alpha2,
-                              cfg.missing_value, cfg.minkowski_p, base)
+        wv = _UNIT_WEIGHTS
+    c = _Comparison(obs, rfm, cfg)
+    return _kernels.cdm_batch(rfm.values, c.obs_vec, c.weights(wv), cfg.alpha1, cfg.alpha2,
+                              cfg.missing_value, cfg.minkowski_p, c.base(wv),
+                              out=_work_arrays(rfm))
+
+
+def _k_smallest(d: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest values, ties by lower index: exactly
+    ``np.argsort(d, kind="stable")[:k]``, for 1 <= k <= len(d).
+
+    Only the values not above the k-th smallest are sorted. They are taken
+    in index order, so the stable sort keeps their ties by index. A NaN
+    k-th value (fewer than k numbers) takes the full sort, which puts NaN
+    last. Every numpy call here releases the GIL and costs threaded
+    batches a hand-off, so k = 1, the default, is one argmin.
+    """
+    if k == 1:
+        best = d.argmin()  # the first minimum, or the first NaN
+        if not np.isnan(d[best]):
+            return np.array([best])
+    kth = d[np.argpartition(d, k - 1)[k - 1]]
+    if np.isnan(kth):
+        return np.argsort(d, kind="stable")[:k]
+    candidates = np.flatnonzero(d <= kth)
+    return candidates[np.argsort(d[candidates], kind="stable")[:k]]
+
+
+def _nearest(d: np.ndarray, rfm: ExtendedRfm, k: int) -> Location:
+    best = _k_smallest(d, min(k, rfm.n_points))
+    if best.size == 1:  # the mean of one point, without a numpy call
+        return rfm.location_at(int(best[0]))
+    x, y = rfm.locations[best].mean(axis=0)
+    return Location(float(x), float(y))
 
 
 def knn_locate(obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig,
@@ -76,11 +152,12 @@ def knn_locate(obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig,
     Without a weight vector every feature weighs 1. Ties rank by lower
     reference index.
     """
-    d = dissimilarities(obs, rfm, cfg, wv)
-    k = min(cfg.k, rfm.n_points)
-    best = np.argsort(d, kind="stable")[:k]
-    x, y = rfm.locations[best].mean(axis=0)
-    return Location(float(x), float(y))
+    return _nearest(dissimilarities(obs, rfm, cfg, wv), rfm, cfg.k)
+
+
+def _random_start(obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig) -> Location:
+    rng = np.random.default_rng([cfg.init_seed & 0x7FFFFFFF, abs(obs.id)])
+    return rfm.location_at(int(rng.integers(rfm.n_points)))
 
 
 def initial_location(obs: Fingerprint, rfm: ExtendedRfm,
@@ -93,8 +170,7 @@ def initial_location(obs: Fingerprint, rfm: ExtendedRfm,
     """
     if cfg.init_mode == "knn":
         return knn_locate(obs, rfm, cfg, None)
-    rng = np.random.default_rng([cfg.init_seed & 0x7FFFFFFF, abs(obs.id)])
-    return rfm.location_at(int(rng.integers(rfm.n_points)))
+    return _random_start(obs, rfm, cfg)
 
 
 def detect_termination(estimates: Sequence[Location],
@@ -277,7 +353,11 @@ def iterate_locate(obs: Fingerprint, rfm: ExtendedRfm,
     into softmax weights, and repeats the lookup. Termination is total:
     converging, looping, or the iteration budget, whichever comes first.
     """
-    start = initial_location(obs, rfm, cfg)
+    comparison = _Comparison(obs, rfm, cfg)
+    if cfg.init_mode == "knn":  # initial_location, on this search's comparison
+        start = _nearest(comparison.dissimilarities(_UNIT_WEIGHTS), rfm, cfg.k)
+    else:
+        start = _random_start(obs, rfm, cfg)
     path: list[Location] = [start]
     estimates: list[Location] = []
     queried: dict[Location, list[RfmEntry]] = {}
@@ -285,7 +365,7 @@ def iterate_locate(obs: Fingerprint, rfm: ExtendedRfm,
     for _ in range(cfg.max_iterations):
         entries = _query_once(rfm, path[-1], queried)
         wv = softmax_weights(entries, cfg.beta, cfg.weight_form)
-        nxt = knn_locate(obs, rfm, cfg, wv)
+        nxt = _nearest(comparison.dissimilarities(wv), rfm, cfg.k)
         estimates.append(nxt)
         path.append(nxt)
         state = detect_termination(estimates, cfg)

@@ -303,6 +303,16 @@ class TestEvalAndReport:
         (empty / "truth.jsonl").write_bytes((scored / "truth.jsonl").read_bytes())
         assert run(["report", "--runs", str(empty)]) == 1
 
+    def test_failed_report_leaves_no_out_dir(self, tmp_path, scored):
+        out_dir = tmp_path / "out"
+        assert run(["report", "--runs", str(tmp_path / "missing"),
+                    "--truth", str(scored / "truth.jsonl"),
+                    "--out-dir", str(out_dir)]) == 1
+        assert not out_dir.exists()
+        assert run(["report", "--runs", str(tmp_path / "missing"),
+                    "--out-dir", str(out_dir)]) == 1
+        assert not out_dir.exists()
+
 
 def _ff_on_line_2(src, dst):
     """Copy ``src`` to ``dst`` with a 0xFF byte, never valid UTF-8, inside line 2."""

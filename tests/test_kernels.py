@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rfmloc import _kernels
+from rfmloc.dissim import feature_distance
 
 GAMMA = -110.0
 
@@ -69,6 +70,52 @@ class TestNumpyBackend:
         got = _kernels.cdm_batch(ref, obs, w, 3.0, 3.0, GAMMA, 2.0, 5.0)
         expected = 5.0 + 3 * (50.0 ** 2) + 3 * (40.0 ** 2)
         assert got[0] == pytest.approx(expected, rel=1e-12)
+
+
+def one_pass(ref, obs, weights, a1, a2, gamma, p, base):
+    """The kernel as a single expression, as it was before the split."""
+    ref_present = np.isfinite(ref)
+    obs_present = np.isfinite(obs)
+    scale = np.where(ref_present, np.where(obs_present, 1.0, a2), a1)
+    terms = feature_distance(np.where(obs_present, obs, gamma),
+                             np.where(ref_present, ref, gamma), p)
+    return (weights * scale * terms).sum(axis=1) + base
+
+
+class TestStages:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("featureless", [False, True], ids=["obs", "featureless-obs"])
+    def test_reduce_of_terms_is_the_batch_bit_for_bit(self, rng, p, featureless):
+        for _ in range(80):
+            ref, obs, weights, a1, a2, gamma, p, base = random_case(rng, p=p)
+            if featureless:
+                obs[:] = np.nan
+            case = (ref, obs, weights, a1, a2, gamma, p, base)
+            scale, terms = _kernels.cdm_terms(ref, obs, a1, a2, gamma, p)
+            staged = _kernels.cdm_reduce(scale, terms, weights, base)
+            assert np.array_equal(staged, _kernels.cdm_batch(*case))
+            assert np.array_equal(staged, one_pass(*case))
+            # the terms do not depend on the weights: re-weighting them is a fresh batch
+            other = rng.uniform(0.01, 1.0, size=weights.shape)
+            assert np.array_equal(_kernels.cdm_reduce(scale, terms, other, base),
+                                  one_pass(ref, obs, other, a1, a2, gamma, p, base))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_work_arrays_change_no_bit(self, rng, p):
+        for _ in range(40):
+            case = random_case(rng, p=p)
+            ref, obs, weights, a1, a2, gamma, p, base = case
+            # whatever an earlier call left in the work arrays is overwritten
+            work = tuple(rng.uniform(-1e3, 1e3, size=ref.shape) for _ in range(3))
+            work[0][0, 0] = work[1][-1, -1] = work[2][0, -1] = np.nan
+            scale, terms = _kernels.cdm_terms(ref, obs, a1, a2, gamma, p, out=work[:2])
+            assert scale is work[0] and terms is work[1]
+            fresh_scale, fresh_terms = _kernels.cdm_terms(ref, obs, a1, a2, gamma, p)
+            assert np.array_equal(scale, fresh_scale)
+            assert np.array_equal(terms, fresh_terms)
+            assert np.array_equal(_kernels.cdm_reduce(scale, terms, weights, base, out=work[2]),
+                                  one_pass(*case))
+            assert np.array_equal(_kernels.cdm_batch(*case, out=work), one_pass(*case))
 
 
 class TestSelection:

@@ -11,7 +11,7 @@ from rfmloc.model import (DataError, ExtendedRfm, Fingerprint, Location,
                           PositioningConfig, RawRfm, Rect, RfmEntry, Termination,
                           attributes, estimate_from_obj, estimate_to_obj,
                           fingerprint_from_obj, fingerprint_to_obj, gaussian_nw,
-                          read_fingerprints, write_fingerprints)
+                          nearest_carriers_nw, read_fingerprints, write_fingerprints)
 from tests.conftest import make_fp, make_rfm, random_rfm
 
 
@@ -312,6 +312,19 @@ class TestQueryOracle:
             got = rfm.query(at)
             assert got == reference_query(rfm, at)
             assert len(got) == len(rfm.feature_ids)
+
+    def test_layers_in_either_memory_order(self, rng):
+        rfm = random_rfm(rng, n_points=50, n_features=7, extent=10.0, density=0.6,
+                         sigma_range=(0.5, 6.0))
+        present = np.isfinite(rfm.values)
+        for _ in range(10):
+            d = rng.uniform(0.0, 8.0, size=rfm.n_points)
+            want = nearest_carriers_nw(d, present, (rfm.values, rfm.sigmas), 3, 1.0, 3.0)
+            got = nearest_carriers_nw(d, present, tuple(map(np.asfortranarray,
+                                                            (rfm.values, rfm.sigmas))),
+                                      3, 1.0, 3.0)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
 
 class TestExtendedRfmValidation:

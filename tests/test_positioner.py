@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ import pytest
 from rfmloc.dissim import WeightVector, softmax_weights, weighted_cdm
 from rfmloc.model import (ExtendedRfm, Fingerprint, Location, PositioningConfig,
                           RfmEntry, Termination)
-from rfmloc.positioner import (InsufficientPoints, detect_termination,
-                               dissimilarities, initial_location, iterate_locate,
-                               knn_locate, locate_batch, mcd_center, resolve_state)
+from rfmloc import _kernels
+from rfmloc.positioner import (InsufficientPoints, _extract_loop, _k_smallest,
+                               _work_arrays, detect_termination, dissimilarities,
+                               initial_location, iterate_locate, knn_locate, locate_batch,
+                               mcd_center, resolve_state)
 from tests.conftest import make_fp, make_rfm, random_rfm
 
 CFG = PositioningConfig()
@@ -325,6 +328,111 @@ class TestQueryReuse:
                 fallbacks += 1
                 assert set(asked) == set(est.path)  # the overlap rule saw every point
         assert fallbacks > 0
+
+
+def sparse_search_cases(rng, count):
+    """Random sparse maps, each with an observation that also holds a
+    feature outside the map's universe, for k = 1 and 3 and both starts."""
+    for i in range(count):
+        rfm = random_rfm(rng, n_points=int(rng.integers(4, 30)),
+                         n_features=int(rng.integers(2, 8)),
+                         density=0.5, sigma_range=(0.5, 6.0))
+        features = {f: float(rng.uniform(-105, -40))
+                    for f in rfm.feature_ids if rng.random() < 0.6}
+        features["02:ff:00:00:00:00"] = float(rng.uniform(-105, -40))
+        cfg = PositioningConfig(k=(1, 3)[i % 2], init_mode=("knn", "random")[i // 2 % 2],
+                                max_iterations=12)
+        yield make_fp(features, fp_id=i), rfm, cfg
+
+
+def reference_search(obs, rfm, cfg):
+    """The iteration spelled out with the public one-shot lookups."""
+    path = [initial_location(obs, rfm, cfg)]
+    estimates = []
+    state = None
+    for _ in range(cfg.max_iterations):
+        wv = softmax_weights(rfm.query(path[-1]), cfg.beta, cfg.weight_form)
+        estimates.append(knn_locate(obs, rfm, cfg, wv))
+        path.append(estimates[-1])
+        state = detect_termination(estimates, cfg)
+        if state is not None:
+            break
+    loop = _extract_loop(estimates) if state is Termination.LOOPING else None
+    return resolve_state(state, path, loop, obs, rfm, cfg)
+
+
+class TestSearchSteps:
+    def test_each_step_is_the_weighted_lookup(self, rng):
+        seen = set()
+        for obs, rfm, cfg in sparse_search_cases(rng, 80):
+            est = iterate_locate(obs, rfm, cfg)
+            assert est.path[0] == initial_location(obs, rfm, cfg)
+            for here, nxt in zip(est.path, est.path[1:]):
+                wv = softmax_weights(rfm.query(here), cfg.beta, cfg.weight_form)
+                assert nxt == knn_locate(obs, rfm, cfg, wv)
+            assert est == reference_search(obs, rfm, cfg)
+            seen.add((est.tf, est.iterations > 2))
+        # searches that converge and that fall back, some of them past two steps
+        assert {(Termination.CONVERGING, True), (Termination.MAX, True)} <= seen
+
+    def test_one_comparison_per_search(self, rng, monkeypatch):
+        calls = []
+        terms = _kernels.cdm_terms
+
+        def counting_terms(*args, **kwargs):
+            calls.append(args)
+            return terms(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "cdm_terms", counting_terms)
+        iterations = set()
+        for obs, rfm, cfg in sparse_search_cases(rng, 40):
+            calls.clear()
+            est = iterate_locate(obs, rfm, cfg)
+            assert len(calls) == 1
+            iterations.add(est.iterations)
+        assert max(iterations) > 2
+
+
+class TestKSmallest:
+    @pytest.mark.parametrize("n", [1, 2, 9, 40])
+    def test_equals_the_stable_argsort(self, rng, n):
+        for _ in range(20):
+            d = rng.integers(0, max(n // 4, 2), size=n).astype(float)  # many ties
+            order = np.argsort(d, kind="stable")
+            for k in range(1, n + 1):
+                assert np.array_equal(_k_smallest(d, k), order[:k])
+
+    def test_nan_sorts_last(self):
+        for d in (np.array([3.0, np.nan, 1.0, 3.0, np.nan, 0.0]),
+                  np.array([np.nan, 2.0, np.nan]), np.full(3, np.nan)):
+            order = np.argsort(d, kind="stable")
+            for k in range(1, len(d) + 1):
+                assert np.array_equal(_k_smallest(d, k), order[:k])
+
+
+class TestWorkArrays:
+    def test_kept_per_thread_and_map_shape(self, rng):
+        small = random_rfm(rng, n_points=6, n_features=3, density=0.7, sigma_range=(0.5, 4.0))
+        large = random_rfm(rng, n_points=9, n_features=5, density=0.7, sigma_range=(0.5, 4.0))
+        mine = _work_arrays(small)
+        assert _work_arrays(small) is mine
+        assert [a.shape for a in mine] == [small.values.shape] * 3
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            theirs = pool.submit(_work_arrays, small).result()
+        assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+        assert [a.shape for a in _work_arrays(large)] == [large.values.shape] * 3
+
+    def test_stale_contents_change_no_result(self, rng):
+        for obs, rfm, cfg in sparse_search_cases(rng, 16):
+            results = []
+            for junk in (np.nan, 1e300, -0.0):
+                for a in _work_arrays(rfm):
+                    a.fill(junk)
+                est = iterate_locate(obs, rfm, cfg)
+                for a in _work_arrays(rfm):
+                    a.fill(junk)
+                results.append((est, dissimilarities(obs, rfm, cfg).tolist()))
+            assert results[0] == results[1] == results[2]
 
 
 class TestLocateBatch:
