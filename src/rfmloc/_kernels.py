@@ -1,4 +1,4 @@
-"""The batch dissimilarity kernel, in two stages.
+"""The batch dissimilarity kernel: weight-free cells, then one product.
 
 ``ref`` is the reference value matrix (n_points, n_features) with NaN
 marking absent features, ``obs`` the observation vector aligned to the
@@ -13,16 +13,17 @@ Unshared features are scored by substitution: an absent value reads as
 reference has the feature and by ``alpha1`` otherwise. A cell absent on
 both sides then compares ``missing_value`` with itself and adds 0.
 
-``cdm_terms`` computes the weight-free part, the per-cell scale and
-Minkowski term, once per observation; ``cdm_reduce`` applies one weight
-vector to it. The iterative search changes only the weights, so it
-reduces the same terms once per iteration.
+``cdm_terms`` computes the weight-free cells, scale times Minkowski
+term, once per observation; ``cdm_reduce`` applies one weight vector to
+them as a matrix-vector product. The iterative search changes only the
+weights, so it reduces the same cells once per iteration.
 
-Every stage takes ``out``: C-ordered float arrays shaped like ``ref`` to
-compute in, so a caller that keeps them allocates no array of that size
-per call. Allocated and freed once per search or iteration, arrays that
-large were handed back to the operating system and page-faulted in again
-each time, most of all on worker threads.
+``cdm_terms`` takes ``out``: two C-ordered float arrays shaped like
+``ref`` to compute in, the first of which it returns, so a caller that
+keeps them allocates no array of that size per call. Allocated and freed
+once per search, arrays that large were handed back to the operating
+system and page-faulted in again each time, most of all on worker
+threads.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ BACKEND = "numpy"
 
 def cdm_terms(ref: np.ndarray, obs: np.ndarray, alpha1: float, alpha2: float,
               missing_value: float, p: float,
-              out: tuple[np.ndarray, np.ndarray] | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell scale (1, ``alpha1`` or ``alpha2``) and term |obs - ref| ** p,
-    both shaped like ``ref``; written into the pair ``out`` when given."""
+              out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Per-cell scale (1, ``alpha1`` or ``alpha2``) times |obs - ref| ** p,
+    shaped like ``ref``; computed in the pair ``out`` when given and
+    returned in its first array."""
     ref_present = np.isfinite(ref)
     obs_present = np.isfinite(obs)
     scale, terms = (np.empty(ref.shape), np.empty(ref.shape)) if out is None else out
@@ -51,24 +52,19 @@ def cdm_terms(ref: np.ndarray, obs: np.ndarray, alpha1: float, alpha2: float,
     terms[...] = missing_value
     np.putmask(terms, ref_present, ref)
     feature_distance(np.where(obs_present, obs, missing_value), terms, p, out=terms)
-    return scale, terms
+    return np.multiply(scale, terms, out=scale)
 
 
-def cdm_reduce(scale: np.ndarray, terms: np.ndarray, weights: np.ndarray,
-               base: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Weighted row sums of ``cdm_terms``' output, plus ``base``; the
-    weighted cells are computed in ``out`` when given."""
-    cells = np.multiply(weights, scale, out=out)
-    np.multiply(cells, terms, out=cells)
-    return cells.sum(axis=1) + base
+def cdm_reduce(cells: np.ndarray, weights: np.ndarray, base: float) -> np.ndarray:
+    """Weighted row sums of ``cdm_terms``' cells, plus ``base``."""
+    return cells @ weights + base
 
 
 def cdm_batch(ref: np.ndarray, obs: np.ndarray, weights: np.ndarray,
               alpha1: float, alpha2: float, missing_value: float,
               p: float, base: float,
-              out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+              out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Weighted compound dissimilarity of one observation against every row;
-    ``out`` holds three work arrays shaped like ``ref``."""
-    scale, terms = cdm_terms(ref, obs, alpha1, alpha2, missing_value, p,
-                             None if out is None else out[:2])
-    return cdm_reduce(scale, terms, weights, base, None if out is None else out[2])
+    ``out`` holds ``cdm_terms``' two work arrays."""
+    return cdm_reduce(cdm_terms(ref, obs, alpha1, alpha2, missing_value, p, out),
+                      weights, base)

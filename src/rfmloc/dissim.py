@@ -60,10 +60,14 @@ def feature_distance(v1: float, v2: float, p: float = 2.0, out=None) -> float:
     return d
 
 
-def softmax_weights(entries: Sequence[RfmEntry], beta: float,
-                    form: str = "precision_softmax") -> WeightVector:
-    """Softmax over the spread layer at the assumed location.
+def softmax_row(sigmas: np.ndarray, features: np.ndarray, n_features: int, beta: float,
+                form: str = "precision_softmax") -> tuple[np.ndarray, float]:
+    """Softmax over spread values, aligned with a feature universe.
 
+    ``sigmas[i]`` is the spread of feature ``features[i]`` among
+    ``n_features``. Returns the weight row, which holds the smallest
+    computed weight in the slots of features without a spread value, and
+    that smallest weight; with no spread values at all every weight is 1.
     ``precision_softmax`` uses exponents +beta / sigma^2, concentrating
     weight on features with a stable signal. ``paper_verbatim`` flips the
     exponent sign, reproducing the published formula, which instead favors
@@ -75,18 +79,29 @@ def softmax_weights(entries: Sequence[RfmEntry], beta: float,
         raise ValueError("beta must be positive")
     if form not in ("precision_softmax", "paper_verbatim"):
         raise ValueError(f"unknown weight form {form!r}")
-    if not entries:
-        return WeightVector({}, 1.0)
-    sigma = np.array([e.sigma for e in entries], dtype=float)
-    if (sigma <= 0).any():
+    if not sigmas.size:
+        return np.ones(n_features), 1.0
+    if (sigmas <= 0).any():
         raise ValueError("spread values must be positive")
-    exponents = beta / (sigma * sigma)
+    exponents = beta / (sigmas * sigmas)
     if form == "paper_verbatim":
         exponents = -exponents
     w = np.exp(exponents - exponents.max())
     w /= w.sum()
-    weights = {e.feature: float(wi) for e, wi in zip(entries, w)}
-    return WeightVector(weights, float(w.min()))
+    low = float(w.min())
+    row = np.full(n_features, low)
+    row[features] = w
+    return row, low
+
+
+def softmax_weights(entries: Sequence[RfmEntry], beta: float,
+                    form: str = "precision_softmax") -> WeightVector:
+    """:func:`softmax_row` over the spread values of an entry list, keyed
+    by feature id; features outside the list fall back to the minimum."""
+    n = len(entries)
+    row, low = softmax_row(np.array([e.sigma for e in entries], dtype=float),
+                           np.arange(n), n, beta, form)
+    return WeightVector({e.feature: w for e, w in zip(entries, row.tolist())}, low)
 
 
 def weighted_cdm(obs: Fingerprint, ref_entries: Sequence[RfmEntry],

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import asdict, dataclass, fields
 from enum import IntEnum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -375,8 +376,13 @@ class ExtendedRfm:
     Each reference point stores, per feature, the smoothed expected value
     and a robust spread estimate. Between reference points the layers are
     represented continuously by Gaussian kernel smoothing, so any location
-    in the region can be queried. Instances are immutable; the backing
+    in the region can be queried. The layers are immutable; the backing
     arrays are marked read-only so they can be shared across threads.
+
+    The one mutable part is a bounded memo of rows derived from the
+    layers at searched locations (:meth:`remembered_row`): it holds at
+    most ``n_points`` rows, keeps each one for the life of the map, and
+    changes no result.
     """
 
     def __init__(self, locations, feature_ids: Sequence[FeatureId], values, sigmas,
@@ -417,6 +423,8 @@ class ExtendedRfm:
         self._entry_counts = self._present.sum(axis=1)
         self._entry_counts.setflags(write=False)
         self._config = builder_config
+        self._rows: dict = {}
+        self._rows_lock = threading.Lock()
 
     @property
     def n_points(self) -> int:
@@ -472,15 +480,16 @@ class ExtendedRfm:
                                     float(self._sigmas[index, f])))
         return out
 
-    def query(self, loc: Location) -> list[RfmEntry]:
+    def query_arrays(self, loc: Location) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Continuous lookup of both layers at an arbitrary location.
 
-        Per feature, the estimate is a Gaussian kernel average over the
-        nearest reference points carrying that feature, capped at
-        ``ks_neighbors`` and restricted to three bandwidths; features with
-        no carrier in range are omitted. If the restriction would leave no
-        entries at all, it is dropped so the query stays answerable
-        anywhere in the region.
+        Returns the indices of the features with an estimate, ascending,
+        and their smoothed values and sigmas. Per feature, the estimate is
+        a Gaussian kernel average over the nearest reference points
+        carrying that feature, capped at ``ks_neighbors`` and restricted to
+        three bandwidths; features with no carrier in range are omitted. If
+        the restriction would leave no entries at all, it is dropped so the
+        query stays answerable anywhere in the region.
         """
         d = np.hypot(self._locations[:, 0] - loc.x, self._locations[:, 1] - loc.y)
         layers = (self._values, self._sigmas)
@@ -491,9 +500,33 @@ class ExtendedRfm:
         if features.size == 0:
             features, (values, sigmas) = nearest_carriers_nw(d, self._present, layers, ks, h,
                                                              None)
+        return features, values, sigmas
+
+    def query(self, loc: Location) -> list[RfmEntry]:
+        """:meth:`query_arrays` as an entry list, ordered by feature id."""
+        features, values, sigmas = self.query_arrays(loc)
         fids = self._feature_ids
         return [RfmEntry(fids[f], v, s)
                 for f, v, s in zip(features.tolist(), values.tolist(), sigmas.tolist())]
+
+    def remembered_row(self, key: Hashable, compute: Callable[[], tuple]) -> tuple:
+        """The row remembered under ``key``, else the row ``compute()`` returns.
+
+        A computed row is remembered while the map holds fewer than
+        ``n_points`` rows; after that, rows are computed and not kept.
+        ``compute`` must depend on ``key`` and the map alone, and its
+        arrays are made read-only, since every later caller shares them.
+        """
+        row = self._rows.get(key)
+        if row is None:
+            row = compute()
+            for part in row:
+                if isinstance(part, np.ndarray):
+                    part.setflags(write=False)
+            with self._rows_lock:
+                if key in self._rows or len(self._rows) < self.n_points:
+                    row = self._rows.setdefault(key, row)
+        return row
 
     def to_json(self) -> str:
         fids = self._feature_ids

@@ -1,12 +1,15 @@
 """Positioning against an extended reference map.
 
 ``knn_locate`` ranks every reference point by the weighted compound
-dissimilarity and averages the best k locations. ``iterate_locate`` wraps
-it in a fixed point search: the spread layer at the previous estimate
-yields fresh softmax weights for the next lookup, until the estimate
-converges, revisits an earlier one (a loop), or the iteration budget runs
-out. Tight loops resolve to a robust center of the cycle; everything else
-falls back to the searched location whose expected feature set best
+dissimilarity and averages the best k locations. ``iterate_locate`` runs
+the same weighted lookup as a fixed point search: the spread layer at the
+previous estimate yields fresh softmax weights for the next lookup, until
+the estimate converges, revisits an earlier one (a loop), or the iteration
+budget runs out. A search compares its observation with the map once and
+only re-weights that comparison per iteration; the weights at a location
+come from the map's memo of weight rows when another search has been
+there. Tight loops resolve to a robust center of the cycle; everything
+else falls back to the searched location whose expected feature set best
 matches the observation.
 """
 
@@ -17,24 +20,25 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from rfmloc import _kernels
+# softmax_weights is not called here: rfmbench's tracer wraps it in this
+# module's namespace
 from rfmloc.dissim import (EmptyComparison, WeightVector, feature_distance, mji,
-                           softmax_weights)
+                           softmax_row, softmax_weights)
 from rfmloc.model import (ExtendedRfm, FeatureId, Fingerprint, Location,
-                          PositionEstimate, PositioningConfig, RfmEntry, Termination,
-                          attributes)
+                          PositionEstimate, PositioningConfig, Termination, attributes)
 
 
 _UNIT_WEIGHTS = WeightVector({}, 1.0)
 _work = threading.local()
 
 
-def _work_arrays(rfm: ExtendedRfm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The calling thread's three kernel work arrays, shaped like the map.
+def _work_arrays(rfm: ExtendedRfm) -> tuple[np.ndarray, np.ndarray]:
+    """The calling thread's two kernel work arrays, shaped like the map.
 
     Kept per thread, so that no search or iteration allocates map-sized
     arrays, and reused by every comparison with a map of that shape: one
@@ -43,12 +47,36 @@ def _work_arrays(rfm: ExtendedRfm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     arrays = getattr(_work, "arrays", None)
     if arrays is None or arrays[0].shape != rfm.values.shape:
-        arrays = _work.arrays = tuple(np.empty(rfm.values.shape) for _ in range(3))
+        arrays = _work.arrays = (np.empty(rfm.values.shape), np.empty(rfm.values.shape))
     return arrays
 
 
 class InsufficientPoints(ValueError):
     """Too few points for a covariance-based center estimate."""
+
+
+class _WeightRow(NamedTuple):
+    """Softmax weights at one location, aligned with the map's features."""
+
+    weights: np.ndarray  # ``min_weight`` where the location has no entry
+    min_weight: float
+    features: np.ndarray  # indices of the features with an entry there
+
+
+def _weight_row(rfm: ExtendedRfm, loc: Location, cfg: PositioningConfig,
+                rows: dict[Location, _WeightRow]) -> _WeightRow:
+    """The softmax weights of the spread layer at ``loc``: from ``rows``,
+    the search's own, else from the map's memo, else smoothed once here."""
+    row = rows.get(loc)
+    if row is None:
+        def compute() -> _WeightRow:
+            features, _, sigmas = rfm.query_arrays(loc)
+            weights, low = softmax_row(sigmas, features, len(rfm.feature_ids), cfg.beta,
+                                       cfg.weight_form)
+            return _WeightRow(weights, low, features)
+
+        row = rows[loc] = rfm.remembered_row((loc, cfg.beta, cfg.weight_form), compute)
+    return row
 
 
 class _Comparison:
@@ -59,7 +87,7 @@ class _Comparison:
     unmeasured features), the distances of observed features the map has
     never seen (their weighted sum is a constant for every reference
     point, kept so the batch values match the per-pair definition
-    exactly), and, on first use, the kernel's weight-free terms. A search
+    exactly), and, on first use, the kernel's weight-free cells. A search
     builds one and re-weights it every iteration.
     """
 
@@ -79,7 +107,7 @@ class _Comparison:
                                                          cfg.minkowski_p)))
             else:
                 self.obs_vec[f] = v
-        self._terms: tuple[np.ndarray, np.ndarray] | None = None
+        self._cells: np.ndarray | None = None
 
     def weights(self, wv: WeightVector) -> np.ndarray:
         """``wv`` aligned with the map's feature universe."""
@@ -93,16 +121,23 @@ class _Comparison:
             base += self.cfg.alpha1 * wv.get(a) * d
         return base
 
-    def dissimilarities(self, wv: WeightVector) -> np.ndarray:
-        """``dissimilarities`` for this observation, from the cached terms."""
-        if self._terms is None:
+    def base_at(self, min_weight: float) -> float:
+        """``base`` when every feature outside the universe weighs
+        ``min_weight``, as under a weight row."""
+        base = 0.0
+        for _, d in self.outside:
+            base += self.cfg.alpha1 * min_weight * d
+        return base
+
+    def dissimilarities(self, weights: np.ndarray, base: float) -> np.ndarray:
+        """``dissimilarities`` for this observation under an aligned weight
+        vector, from the cached cells."""
+        if self._cells is None:
             cfg = self.cfg
-            *terms_out, self._cells = _work_arrays(self.rfm)
-            self._terms = _kernels.cdm_terms(self.rfm.values, self.obs_vec, cfg.alpha1,
+            self._cells = _kernels.cdm_terms(self.rfm.values, self.obs_vec, cfg.alpha1,
                                              cfg.alpha2, cfg.missing_value, cfg.minkowski_p,
-                                             out=terms_out)
-        return _kernels.cdm_reduce(*self._terms, self.weights(wv), self.base(wv),
-                                   out=self._cells)
+                                             out=_work_arrays(self.rfm))
+        return _kernels.cdm_reduce(self._cells, weights, base)
 
 
 def dissimilarities(obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig,
@@ -291,28 +326,19 @@ def _concentration_step(pts: np.ndarray, subset: np.ndarray, h: int) -> np.ndarr
     return np.sort(np.argsort(dist, kind="stable")[:h])
 
 
-def _query_once(rfm: ExtendedRfm, loc: Location,
-                queried: dict[Location, list[RfmEntry]]) -> list[RfmEntry]:
-    """``rfm.query(loc)``, answered from ``queried`` when already asked."""
-    entries = queried.get(loc)
-    if entries is None:
-        entries = queried[loc] = rfm.query(loc)
-    return entries
-
-
 def resolve_state(state: Termination, path: Sequence[Location],
                   loop_points: Sequence[Location] | None, obs: Fingerprint,
                   rfm: ExtendedRfm, cfg: PositioningConfig,
-                  queried: dict[Location, list[RfmEntry]] | None = None) -> PositionEstimate:
+                  rows: dict[Location, _WeightRow] | None = None) -> PositionEstimate:
     """Turn a terminated search into the final estimate.
 
     Converging keeps the last estimate. A loop that is both long enough
     and tight enough resolves to the robust center of its points; any
     other loop, and the exhausted-budget state, fall back to the searched
     location whose map feature set best matches the observation (ties go
-    to the earliest), reported with the max-budget flag. ``queried`` holds
-    the ``rfm.query`` results the search already has, by location; the
-    fallback reuses them and adds the ones it computes.
+    to the earliest), reported with the max-budget flag. ``rows`` holds
+    the weight rows the search already has, by location; the fallback
+    takes its feature sets from them and adds the ones it computes.
     """
     path = tuple(path)
     iterations = len(path) - 1
@@ -326,16 +352,18 @@ def resolve_state(state: Termination, path: Sequence[Location],
         center = mcd_center(kept_loop)
         return PositionEstimate(center, Termination.LOOPING, iterations, path,
                                 kept_loop, obs.id)
-    if queried is None:
-        queried = {}
+    if rows is None:
+        rows = {}
     obs_attrs = attributes(obs)
+    fids = rfm.feature_ids
     best_score = -1.0
     best_index = 0
     for i, p in enumerate(path):
         # a featureless observation gives every point the same (undefined)
         # overlap; keep the earliest rather than raising
         if obs_attrs:
-            score = mji(obs_attrs, frozenset(e.feature for e in _query_once(rfm, p, queried)))
+            features = _weight_row(rfm, p, cfg, rows).features
+            score = mji(obs_attrs, frozenset(fids[f] for f in features.tolist()))
         else:
             score = 0.0
         if score > best_score:
@@ -349,30 +377,33 @@ def iterate_locate(obs: Fingerprint, rfm: ExtendedRfm,
                    cfg: PositioningConfig) -> PositionEstimate:
     """Iterative weighted positioning with guaranteed termination.
 
-    Each round queries the spread layer at the previous estimate, turns it
-    into softmax weights, and repeats the lookup. Termination is total:
-    converging, looping, or the iteration budget, whichever comes first.
+    Each round takes the softmax weights of the spread layer at the
+    previous estimate and repeats the lookup under them. Termination is
+    total: converging, looping, or the iteration budget, whichever comes
+    first. The spread layer is smoothed at most once per searched location
+    and search, and not at all where the map remembers the weights.
     """
     comparison = _Comparison(obs, rfm, cfg)
     if cfg.init_mode == "knn":  # initial_location, on this search's comparison
-        start = _nearest(comparison.dissimilarities(_UNIT_WEIGHTS), rfm, cfg.k)
+        unit = np.ones(len(rfm.feature_ids))
+        start = _nearest(comparison.dissimilarities(unit, comparison.base_at(1.0)), rfm, cfg.k)
     else:
         start = _random_start(obs, rfm, cfg)
     path: list[Location] = [start]
     estimates: list[Location] = []
-    queried: dict[Location, list[RfmEntry]] = {}
+    rows: dict[Location, _WeightRow] = {}
     state: Termination | None = None
     for _ in range(cfg.max_iterations):
-        entries = _query_once(rfm, path[-1], queried)
-        wv = softmax_weights(entries, cfg.beta, cfg.weight_form)
-        nxt = _nearest(comparison.dissimilarities(wv), rfm, cfg.k)
+        row = _weight_row(rfm, path[-1], cfg, rows)
+        nxt = _nearest(comparison.dissimilarities(row.weights, comparison.base_at(row.min_weight)),
+                       rfm, cfg.k)
         estimates.append(nxt)
         path.append(nxt)
         state = detect_termination(estimates, cfg)
         if state is not None:
             break
     loop_points = _extract_loop(estimates) if state is Termination.LOOPING else None
-    return resolve_state(state, path, loop_points, obs, rfm, cfg, queried)
+    return resolve_state(state, path, loop_points, obs, rfm, cfg, rows)
 
 
 def locate_batch(observations: Sequence[Fingerprint], rfm: ExtendedRfm,

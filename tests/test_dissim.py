@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from rfmloc.dissim import (EmptyComparison, WeightVector, feature_distance, mji,
-                           softmax_weights, weighted_cdm)
-from rfmloc.model import PositioningConfig, RfmEntry
-from tests.conftest import make_fp
+                           softmax_row, softmax_weights, weighted_cdm)
+from rfmloc.model import Location, PositioningConfig, RfmEntry
+from tests.conftest import make_fp, random_rfm
 
 CFG = PositioningConfig()
 
@@ -188,6 +188,56 @@ class TestSoftmaxWeights:
             a = softmax_weights(entries(sig), beta=1.7)
             b = softmax_weights(entries(sig), beta=1.7)
             assert a.weights == b.weights
+
+
+def dict_softmax(entries, beta, form):
+    """The softmax as a dict over an entry list, written out on its own."""
+    if not entries:
+        return WeightVector({}, 1.0)
+    sigma = np.array([e.sigma for e in entries], dtype=float)
+    exponents = beta / (sigma * sigma)
+    if form == "paper_verbatim":
+        exponents = -exponents
+    w = np.exp(exponents - exponents.max())
+    w /= w.sum()
+    return WeightVector({e.feature: float(wi) for e, wi in zip(entries, w)}, float(w.min()))
+
+
+class TestSoftmaxRow:
+    @pytest.mark.parametrize("form", ["precision_softmax", "paper_verbatim"])
+    def test_is_the_aligned_softmax_bit_for_bit(self, rng, form):
+        absent = 0
+        for _ in range(60):
+            rfm = random_rfm(rng, n_points=int(rng.integers(2, 30)),
+                             n_features=int(rng.integers(1, 9)), density=0.5,
+                             sigma_range=(0.2, 8.0))
+            loc = Location(*map(float, rng.uniform(-5.0, 35.0, size=2)))
+            beta = float(rng.uniform(0.1, 5.0))
+            features, _, sigmas = rfm.query_arrays(loc)
+            row, low = softmax_row(sigmas, features, len(rfm.feature_ids), beta, form)
+            entries = rfm.query(loc)
+            for wv in (softmax_weights(entries, beta, form), dict_softmax(entries, beta, form)):
+                aligned = np.array([wv.get(f) for f in rfm.feature_ids])
+                assert row.tobytes() == aligned.tobytes()
+                assert low == wv.min_weight
+            absent += len(entries) < len(rfm.feature_ids)
+        assert absent > 0  # features the location has no entry for hold the minimum
+
+    @pytest.mark.parametrize("form", ["precision_softmax", "paper_verbatim"])
+    def test_no_entries_give_a_unit_row(self, form):
+        row, low = softmax_row(np.empty(0), np.empty(0, dtype=np.intp), 4, 2.0, form)
+        assert row.tolist() == [1.0] * 4
+        assert low == 1.0
+        assert softmax_weights([], 2.0, form) == WeightVector({}, low)
+
+    def test_rejects_bad_inputs(self):
+        one = np.array([0])
+        with pytest.raises(ValueError):
+            softmax_row(np.array([1.0]), one, 1, 0.0)
+        with pytest.raises(ValueError):
+            softmax_row(np.array([0.0]), one, 1, 2.0)
+        with pytest.raises(ValueError):
+            softmax_row(np.array([1.0]), one, 1, 2.0, "banana")
 
 
 class TestMji:

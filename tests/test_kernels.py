@@ -1,5 +1,7 @@
 """Batch dissimilarity kernel against a scalar oracle."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -91,14 +93,18 @@ class TestStages:
             if featureless:
                 obs[:] = np.nan
             case = (ref, obs, weights, a1, a2, gamma, p, base)
-            scale, terms = _kernels.cdm_terms(ref, obs, a1, a2, gamma, p)
-            staged = _kernels.cdm_reduce(scale, terms, weights, base)
+            cells = _kernels.cdm_terms(ref, obs, a1, a2, gamma, p)
+            staged = _kernels.cdm_reduce(cells, weights, base)
             assert np.array_equal(staged, _kernels.cdm_batch(*case))
-            assert np.array_equal(staged, one_pass(*case))
-            # the terms do not depend on the weights: re-weighting them is a fresh batch
+            # the product sums w * (s * t) in BLAS order, not (w * s) * t pairwise
+            assert staged == pytest.approx(one_pass(*case), rel=1e-12, abs=1e-12)
+            # the cells do not depend on the weights: re-weighting them is a fresh batch
             other = rng.uniform(0.01, 1.0, size=weights.shape)
-            assert np.array_equal(_kernels.cdm_reduce(scale, terms, other, base),
-                                  one_pass(ref, obs, other, a1, a2, gamma, p, base))
+            reweighted = _kernels.cdm_reduce(cells, other, base)
+            assert np.array_equal(reweighted,
+                                  _kernels.cdm_batch(ref, obs, other, a1, a2, gamma, p, base))
+            assert reweighted == pytest.approx(one_pass(ref, obs, other, a1, a2, gamma, p, base),
+                                               rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_work_arrays_change_no_bit(self, rng, p):
@@ -106,16 +112,37 @@ class TestStages:
             case = random_case(rng, p=p)
             ref, obs, weights, a1, a2, gamma, p, base = case
             # whatever an earlier call left in the work arrays is overwritten
-            work = tuple(rng.uniform(-1e3, 1e3, size=ref.shape) for _ in range(3))
-            work[0][0, 0] = work[1][-1, -1] = work[2][0, -1] = np.nan
-            scale, terms = _kernels.cdm_terms(ref, obs, a1, a2, gamma, p, out=work[:2])
-            assert scale is work[0] and terms is work[1]
-            fresh_scale, fresh_terms = _kernels.cdm_terms(ref, obs, a1, a2, gamma, p)
-            assert np.array_equal(scale, fresh_scale)
-            assert np.array_equal(terms, fresh_terms)
-            assert np.array_equal(_kernels.cdm_reduce(scale, terms, weights, base, out=work[2]),
-                                  one_pass(*case))
-            assert np.array_equal(_kernels.cdm_batch(*case, out=work), one_pass(*case))
+            work = tuple(rng.uniform(-1e3, 1e3, size=ref.shape) for _ in range(2))
+            work[0][0, 0] = work[1][-1, -1] = np.nan
+            cells = _kernels.cdm_terms(ref, obs, a1, a2, gamma, p, out=work)
+            assert cells is work[0]
+            fresh = _kernels.cdm_terms(ref, obs, a1, a2, gamma, p)
+            assert np.array_equal(cells, fresh)
+            assert np.array_equal(_kernels.cdm_reduce(cells, weights, base),
+                                  _kernels.cdm_reduce(fresh, weights, base))
+            assert np.array_equal(_kernels.cdm_batch(*case, out=work), _kernels.cdm_batch(*case))
+
+    @pytest.mark.parametrize("shape", [(7, 3), (906, 24), (1849, 40)])
+    def test_reduce_ignores_alignment_and_thread(self, rng, shape):
+        # threaded batches must equal per-query runs, whichever buffer a
+        # thread's cells sit in and whichever thread sums them
+        n, m = shape
+        for _ in range(5):
+            cells = rng.uniform(0.0, 4e3, size=shape)
+            cells[rng.random(size=shape) < 0.2] = 0.0
+            weights = rng.uniform(1e-6, 1.0, size=m)
+            base = float(rng.uniform(0, 100))
+            want = _kernels.cdm_reduce(cells, weights, base)
+            shifted = np.empty(n * m + 1)[1:].reshape(shape)  # one float off the allocation
+            shifted[...] = cells
+            assert shifted.ctypes.data % 16 != cells.ctypes.data % 16
+            assert np.array_equal(_kernels.cdm_reduce(shifted, weights, base), want)
+            loose = np.empty(m + 1)[1:]
+            loose[...] = weights
+            assert np.array_equal(_kernels.cdm_reduce(cells, loose, base), want)
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                assert np.array_equal(pool.submit(_kernels.cdm_reduce, cells, weights,
+                                                  base).result(), want)
 
 
 class TestSelection:

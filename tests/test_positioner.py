@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import sys
+import threading
+import time
+from dataclasses import replace
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,8 +15,8 @@ from rfmloc.dissim import WeightVector, softmax_weights, weighted_cdm
 from rfmloc.model import (ExtendedRfm, Fingerprint, Location, PositioningConfig,
                           RfmEntry, Termination)
 from rfmloc import _kernels
-from rfmloc.positioner import (InsufficientPoints, _extract_loop, _k_smallest,
-                               _work_arrays, detect_termination, dissimilarities,
+from rfmloc.positioner import (InsufficientPoints, _Comparison, _extract_loop, _k_smallest,
+                               _weight_row, _work_arrays, detect_termination, dissimilarities,
                                initial_location, iterate_locate, knn_locate, locate_batch,
                                mcd_center, resolve_state)
 from tests.conftest import make_fp, make_rfm, random_rfm
@@ -302,16 +306,28 @@ class TestIterateLocate:
         assert len(starts) > 5
 
 
+def same_map(rfm):
+    """A fresh copy of ``rfm``, with an empty memo of weight rows."""
+    return ExtendedRfm(rfm.locations, rfm.feature_ids, rfm.values, rfm.sigmas,
+                       rfm.builder_config)
+
+
+def fill_memo(rfm):
+    """Fill ``rfm``'s memo with rows no search asks for."""
+    for i in range(rfm.n_points):
+        rfm.remembered_row(("filler", i), lambda: (np.zeros(1),))
+
+
 class TestQueryReuse:
     def test_each_searched_location_queried_once(self, rng, monkeypatch):
         asked = []
-        query = ExtendedRfm.query
+        query_arrays = ExtendedRfm.query_arrays
 
         def counting_query(self, loc):
             asked.append(loc)
-            return query(self, loc)
+            return query_arrays(self, loc)
 
-        monkeypatch.setattr(ExtendedRfm, "query", counting_query)
+        monkeypatch.setattr(ExtendedRfm, "query_arrays", counting_query)
         cfg = PositioningConfig(max_iterations=4)
         fallbacks = 0
         for _ in range(40):
@@ -320,14 +336,116 @@ class TestQueryReuse:
                              density=0.5, sigma_range=(0.5, 6.0))
             obs = make_fp({f: float(rng.uniform(-105, -40))
                            for f in rfm.feature_ids if rng.random() < 0.6})
+            full = same_map(rfm)
+            fill_memo(full)
+            results = []
+            for searched in (rfm, full):  # a cold memo, then a full one
+                asked.clear()
+                est = iterate_locate(obs, searched, cfg)
+                assert len(asked) == len(set(asked))
+                assert set(asked) <= set(est.path)
+                if est.tf is Termination.MAX and obs.features:
+                    assert set(asked) == set(est.path)  # the overlap rule saw every point
+                results.append(est)
+            fallbacks += results[0].tf is Termination.MAX and bool(obs.features)
             asked.clear()
-            est = iterate_locate(obs, rfm, cfg)
-            assert len(asked) == len(set(asked))
-            assert set(asked) <= set(est.path)
-            if est.tf is Termination.MAX and obs.features:
-                fallbacks += 1
-                assert set(asked) == set(est.path)  # the overlap rule saw every point
+            results.append(iterate_locate(obs, rfm, cfg))
+            assert asked == []  # warm: the cold search left every row it needed
+            assert results[0] == results[1] == results[2]
         assert fallbacks > 0
+
+
+class TestWeightMemo:
+    def test_cold_and_warm_searches_agree(self, rng):
+        for k in (1, 3):
+            cfg = PositioningConfig(k=k, max_iterations=12)
+            rfm = random_rfm(rng, n_points=30, n_features=6, density=0.6,
+                             sigma_range=(0.5, 6.0))
+            queries = [make_fp({f: float(rng.uniform(-105, -40))
+                                for f in rfm.feature_ids if rng.random() < 0.7}, fp_id=i)
+                       for i in range(40)]
+            cold = locate_batch(queries, rfm, cfg)
+            assert locate_batch(queries, rfm, cfg) == cold
+            assert locate_batch(queries, rfm, cfg, threads=3) == cold
+            full = same_map(rfm)
+            fill_memo(full)
+            assert locate_batch(queries, full, cfg) == cold
+            for beta, form in ((0.5, "precision_softmax"), (2.0, "paper_verbatim")):
+                other = replace(cfg, beta=beta, weight_form=form)
+                assert locate_batch(queries, rfm, other) == locate_batch(queries, same_map(rfm),
+                                                                         other)
+
+    def test_holds_at_most_n_points_rows(self, rng, monkeypatch):
+        asked = set()
+        query_arrays = ExtendedRfm.query_arrays
+
+        def recording_query(self, loc):
+            asked.add(loc)
+            return query_arrays(self, loc)
+
+        monkeypatch.setattr(ExtendedRfm, "query_arrays", recording_query)
+        rfm = random_rfm(rng, n_points=8, n_features=5, density=0.6, sigma_range=(0.5, 6.0))
+        queries = [make_fp({f: float(rng.uniform(-105, -40))
+                            for f in rfm.feature_ids if rng.random() < 0.7}, fp_id=i)
+                   for i in range(60)]
+        cfg = PositioningConfig(k=3, max_iterations=12)
+        estimates = locate_batch(queries, rfm, cfg)
+        assert len(asked) > 2 * rfm.n_points  # k = 3 iterates fall between points
+        assert len(rfm._rows) == rfm.n_points
+        assert estimates == locate_batch(queries, same_map(rfm), cfg)
+
+    def test_cap_and_rows_hold_under_racing_threads(self, rng):
+        rfm = random_rfm(rng, n_points=5, n_features=3, density=0.7, sigma_range=(0.5, 6.0))
+        threads = 8
+        start = threading.Barrier(threads)
+
+        def row(i):
+            time.sleep(1e-4)  # let the other threads run between lookup and insert
+            return (np.full(3, float(i)),)
+
+        def insert(_):
+            start.wait(timeout=10)
+            return {i: rfm.remembered_row(("race", i), lambda: row(i))
+                    for i in itertools.chain(range(12), reversed(range(12)))}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = [f.result(timeout=60)
+                           for f in [pool.submit(insert, t) for t in range(threads)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(rfm._rows) == rfm.n_points
+        for got in results:
+            for i, row in got.items():
+                assert row[0].tolist() == [float(i)] * 3
+                kept = rfm._rows.get(("race", i))
+                assert kept is None or row is kept  # every caller shares a kept row
+
+    def test_a_row_kept_meanwhile_is_the_one_returned(self, rng):
+        rfm = random_rfm(rng, n_points=3, n_features=2)
+
+        def overtaken():
+            # another caller keeps this key, then fills the memo, while this one computes
+            rfm.remembered_row("key", lambda: (np.zeros(1),))
+            fill_memo(rfm)
+            return (np.ones(1),)
+
+        row = rfm.remembered_row("key", overtaken)
+        assert row is rfm._rows["key"]
+        assert row[0].tolist() == [0.0]
+
+    def test_rows_are_read_only(self, rng):
+        rfm = random_rfm(rng, n_points=12, n_features=4, density=0.7, sigma_range=(0.5, 6.0))
+        obs = make_fp({f: -60.0 for f in rfm.feature_ids[:3]})
+        iterate_locate(obs, rfm, CFG)
+        assert rfm._rows
+        for row in rfm._rows.values():
+            for part in (row.weights, row.features):
+                assert not part.flags.writeable
+                with pytest.raises(ValueError):
+                    part[0] = part[0]
 
 
 def sparse_search_cases(rng, count):
@@ -375,6 +493,16 @@ class TestSearchSteps:
         # searches that converge and that fall back, some of them past two steps
         assert {(Termination.CONVERGING, True), (Termination.MAX, True)} <= seen
 
+    def test_each_weighting_is_the_public_dissimilarity(self, rng):
+        # bit for bit, the constant of the feature outside the map included
+        for obs, rfm, cfg in sparse_search_cases(rng, 40):
+            comparison = _Comparison(obs, rfm, cfg)
+            for here in iterate_locate(obs, rfm, cfg).path:
+                row = _weight_row(rfm, here, cfg, {})
+                got = comparison.dissimilarities(row.weights, comparison.base_at(row.min_weight))
+                wv = softmax_weights(rfm.query(here), cfg.beta, cfg.weight_form)
+                assert got.tobytes() == dissimilarities(obs, rfm, cfg, wv).tobytes()
+
     def test_one_comparison_per_search(self, rng, monkeypatch):
         calls = []
         terms = _kernels.cdm_terms
@@ -416,11 +544,11 @@ class TestWorkArrays:
         large = random_rfm(rng, n_points=9, n_features=5, density=0.7, sigma_range=(0.5, 4.0))
         mine = _work_arrays(small)
         assert _work_arrays(small) is mine
-        assert [a.shape for a in mine] == [small.values.shape] * 3
+        assert [a.shape for a in mine] == [small.values.shape] * 2
         with ThreadPoolExecutor(max_workers=1) as pool:
             theirs = pool.submit(_work_arrays, small).result()
         assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
-        assert [a.shape for a in _work_arrays(large)] == [large.values.shape] * 3
+        assert [a.shape for a in _work_arrays(large)] == [large.values.shape] * 2
 
     def test_stale_contents_change_no_result(self, rng):
         for obs, rfm, cfg in sparse_search_cases(rng, 16):
