@@ -158,7 +158,8 @@ def _read_run(path, truth_records) -> list:
 
 
 def _cmd_eval(args) -> int:
-    truth_records = read_fingerprints(args.truth, require_location=True)
+    # the truth gives ids and locations: its feature values are never scored
+    truth_records = read_fingerprints(args.truth, require_location=True, missing_value=None)
     estimates = _read_run(args.estimates, truth_records)
     truth = [rec.location for rec in truth_records]
     errors = evaluate.radial_errors(estimates, truth)
@@ -179,7 +180,7 @@ def _cmd_report(args) -> int:
     runs_dir = Path(args.runs)
     truth_path = Path(args.truth) if args.truth else runs_dir / "truth.jsonl"
     out_dir = Path(args.out_dir) if args.out_dir else runs_dir
-    truth_records = read_fingerprints(truth_path, require_location=True)
+    truth_records = read_fingerprints(truth_path, require_location=True, missing_value=None)
     runs = {}
     for path in sorted(runs_dir.glob("*.jsonl")):
         if path.resolve() == truth_path.resolve():

@@ -400,8 +400,8 @@ class ExtendedRfm:
             raise ValueError("layer shapes must match (n_points, n_features)")
         if not np.isfinite(locations).all():
             raise ValueError("reference locations must be finite")
-        if np.isfinite(values).sum() != np.isfinite(sigmas).sum() or (
-                (np.isfinite(values) != np.isfinite(sigmas)).any()):
+        present = np.isfinite(values)
+        if (present != np.isfinite(sigmas)).any():
             raise ValueError("value and sigma layers must cover the same entries")
         # the check above leaves every present sigma finite
         bad = np.argwhere(sigmas <= 0)
@@ -409,7 +409,8 @@ class ExtendedRfm:
             j, f = bad[0]
             raise ValueError(f"sigma of feature {feature_ids[f]!r} at reference point {j} "
                              f"is {sigmas[j, f]!r}; every sigma must be finite and > 0")
-        for arr in (locations, values, sigmas):
+        entry_counts = present.sum(axis=1)
+        for arr in (locations, values, sigmas, present, entry_counts):
             arr.setflags(write=False)
         self._locations = locations
         self._feature_ids = tuple(feature_ids)
@@ -418,10 +419,8 @@ class ExtendedRfm:
             raise ValueError("duplicate feature ids")
         self._values = values
         self._sigmas = sigmas
-        self._present = np.isfinite(values)
-        self._present.setflags(write=False)
-        self._entry_counts = self._present.sum(axis=1)
-        self._entry_counts.setflags(write=False)
+        self._present = present
+        self._entry_counts = entry_counts
         self._config = builder_config
         self._rows: dict = {}
         self._rows_lock = threading.Lock()

@@ -5,12 +5,12 @@ dissimilarity and averages the best k locations. ``iterate_locate`` runs
 the same weighted lookup as a fixed point search: the spread layer at the
 previous estimate yields fresh softmax weights for the next lookup, until
 the estimate converges, revisits an earlier one (a loop), or the iteration
-budget runs out. A search compares its observation with the map once and
-only re-weights that comparison per iteration; the weights at a location
-come from the map's memo of weight rows when another search has been
-there. Tight loops resolve to a robust center of the cycle; everything
-else falls back to the searched location whose expected feature set best
-matches the observation.
+budget runs out. A search computes the weight-free dissimilarity cells
+of its observation once and only re-weights them, for its kNN start and
+each iteration; the weights at a location come from the map's memo of
+weight rows when another search has been there. Tight loops resolve to a
+robust center of the cycle; everything else falls back to the searched
+location whose expected feature set best matches the observation.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from rfmloc.model import (ExtendedRfm, FeatureId, Fingerprint, Location,
                           PositionEstimate, PositioningConfig, Termination, attributes)
 
 
-_UNIT_WEIGHTS = WeightVector({}, 1.0)
 _work = threading.local()
 
 
@@ -79,75 +78,49 @@ def _weight_row(rfm: ExtendedRfm, loc: Location, cfg: PositioningConfig,
     return row
 
 
-class _Comparison:
-    """One observation set against the map, before any weighting.
+def _aligned(obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig
+             ) -> tuple[np.ndarray, list[tuple[FeatureId, float]]]:
+    """``obs`` aligned with the map's feature universe (NaN for unmeasured
+    features), and the distances of the observed features the map has
+    never seen."""
+    if not obs.features and (rfm.entry_counts == 0).any():
+        raise EmptyComparison(f"query {obs.id} has no features and the map has "
+                              "reference points without any")
+    obs_vec = np.full(len(rfm.feature_ids), np.nan)
+    outside: list[tuple[FeatureId, float]] = []
+    index = rfm.feature_index
+    for a, v in obs.features.items():
+        f = index.get(a)
+        if f is None:
+            outside.append((a, feature_distance(v, cfg.missing_value, cfg.minkowski_p)))
+        else:
+            obs_vec[f] = v
+    return obs_vec, outside
 
-    Holds what the dissimilarity needs that no weight vector changes: the
-    observation aligned with the map's feature universe (NaN for
-    unmeasured features), the distances of observed features the map has
-    never seen (their weighted sum is a constant for every reference
-    point, kept so the batch values match the per-pair definition
-    exactly), and, on first use, the kernel's weight-free cells. A search
-    builds one and re-weights it every iteration.
-    """
 
-    def __init__(self, obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig):
-        if not obs.features and (rfm.entry_counts == 0).any():
-            raise EmptyComparison(f"query {obs.id} has no features and the map has "
-                                  "reference points without any")
-        self.rfm = rfm
-        self.cfg = cfg
-        self.obs_vec = np.full(len(rfm.feature_ids), np.nan)
-        self.outside: list[tuple[FeatureId, float]] = []
-        index = rfm.feature_index
-        for a, v in obs.features.items():
-            f = index.get(a)
-            if f is None:
-                self.outside.append((a, feature_distance(v, cfg.missing_value,
-                                                         cfg.minkowski_p)))
-            else:
-                self.obs_vec[f] = v
-        self._cells: np.ndarray | None = None
-
-    def weights(self, wv: WeightVector) -> np.ndarray:
-        """``wv`` aligned with the map's feature universe."""
-        get, low = wv.weights.get, wv.min_weight
-        return np.array([get(f, low) for f in self.rfm.feature_ids], dtype=float)
-
-    def base(self, wv: WeightVector) -> float:
-        """The weighted contribution of the features outside the universe."""
-        base = 0.0
-        for a, d in self.outside:
-            base += self.cfg.alpha1 * wv.get(a) * d
-        return base
-
-    def base_at(self, min_weight: float) -> float:
-        """``base`` when every feature outside the universe weighs
-        ``min_weight``, as under a weight row."""
-        base = 0.0
-        for _, d in self.outside:
-            base += self.cfg.alpha1 * min_weight * d
-        return base
-
-    def dissimilarities(self, weights: np.ndarray, base: float) -> np.ndarray:
-        """``dissimilarities`` for this observation under an aligned weight
-        vector, from the cached cells."""
-        if self._cells is None:
-            cfg = self.cfg
-            self._cells = _kernels.cdm_terms(self.rfm.values, self.obs_vec, cfg.alpha1,
-                                             cfg.alpha2, cfg.missing_value, cfg.minkowski_p,
-                                             out=_work_arrays(self.rfm))
-        return _kernels.cdm_reduce(self._cells, weights, base)
+def _outside_constant(outside: Sequence[tuple[FeatureId, float]],
+                      weight: Callable[[FeatureId], float], alpha1: float) -> float:
+    """The weighted contribution of the features outside the universe: the
+    same for every reference point, added so that the batch values match
+    the per-pair definition exactly."""
+    base = 0.0
+    for a, d in outside:
+        base += alpha1 * weight(a) * d
+    return base
 
 
 def dissimilarities(obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig,
                     wv: WeightVector | None = None) -> np.ndarray:
     """Weighted compound dissimilarity of ``obs`` against every reference point."""
+    obs_vec, outside = _aligned(obs, rfm, cfg)
     if wv is None:
-        wv = _UNIT_WEIGHTS
-    c = _Comparison(obs, rfm, cfg)
-    return _kernels.cdm_batch(rfm.values, c.obs_vec, c.weights(wv), cfg.alpha1, cfg.alpha2,
-                              cfg.missing_value, cfg.minkowski_p, c.base(wv),
+        weights, weight = np.ones(len(rfm.feature_ids)), (lambda _: 1.0)
+    else:
+        weights = np.array([wv.get(f) for f in rfm.feature_ids], dtype=float)
+        weight = wv.get
+    return _kernels.cdm_batch(rfm.values, obs_vec, weights, cfg.alpha1, cfg.alpha2,
+                              cfg.missing_value, cfg.minkowski_p,
+                              _outside_constant(outside, weight, cfg.alpha1),
                               out=_work_arrays(rfm))
 
 
@@ -245,27 +218,20 @@ def loop_diameter(points: Sequence[Location]) -> float:
     return max((a.distance_to(b) for a, b in combinations(points, 2)), default=0.0)
 
 
-def mcd_center(points: Sequence[Location], support_fraction: float | None = None,
-               seed: int = 0) -> Location:
+def mcd_center(points: Sequence[Location]) -> Location:
     """Mean of the minimum covariance determinant subset.
 
-    The subset size defaults to ceil((n + 3) / 2). Up to n = 12 every
-    subset is scored; beyond that, concentration steps refine 50 seeded
-    random starts, keeping the determinant non-increasing. Degenerate
-    inputs (all points collinear or coincident) fall back to the
-    coordinate-wise median.
+    The subset holds ceil((n + 3) / 2) points, at most n. Up to n = 12
+    every subset is scored; beyond that, concentration steps refine 50
+    random starts drawn with seed 0, keeping the determinant
+    non-increasing. Degenerate inputs (all points collinear or coincident)
+    fall back to the coordinate-wise median.
     """
     pts = np.array([[p.x, p.y] for p in points], dtype=float)
     n = len(pts)
     if n < 2:
         raise InsufficientPoints("a covariance-based center needs at least 2 points")
-    if support_fraction is None:
-        h = (n + 4) // 2  # ceil((n + 3) / 2)
-    else:
-        if not 0 < support_fraction <= 1:
-            raise ValueError("support_fraction must be in (0, 1]")
-        h = int(math.ceil(support_fraction * n - 1e-9))
-    h = min(max(h, 2), n)
+    h = min((n + 4) // 2, n)  # ceil((n + 3) / 2)
 
     if _rank_deficient(pts):
         return Location(float(np.median(pts[:, 0])), float(np.median(pts[:, 1])))
@@ -281,7 +247,7 @@ def mcd_center(points: Sequence[Location], support_fraction: float | None = None
                 best_mean = sub.mean(axis=0)
         return Location(float(best_mean[0]), float(best_mean[1]))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best_det = math.inf
     best_subset = None
     for _ in range(50):
@@ -377,16 +343,25 @@ def iterate_locate(obs: Fingerprint, rfm: ExtendedRfm,
                    cfg: PositioningConfig) -> PositionEstimate:
     """Iterative weighted positioning with guaranteed termination.
 
-    Each round takes the softmax weights of the spread layer at the
-    previous estimate and repeats the lookup under them. Termination is
-    total: converging, looping, or the iteration budget, whichever comes
-    first. The spread layer is smoothed at most once per searched location
-    and search, and not at all where the map remembers the weights.
+    The observation's weight-free cells are computed once, and the kNN
+    start and every round re-weight them. Each round takes the softmax
+    weights of the spread layer at the previous estimate and repeats the
+    lookup under them. Termination is total: converging, looping, or the
+    iteration budget, whichever comes first. The spread layer is smoothed
+    at most once per searched location and search, and not at all where
+    the map remembers the weights.
     """
-    comparison = _Comparison(obs, rfm, cfg)
-    if cfg.init_mode == "knn":  # initial_location, on this search's comparison
-        unit = np.ones(len(rfm.feature_ids))
-        start = _nearest(comparison.dissimilarities(unit, comparison.base_at(1.0)), rfm, cfg.k)
+    obs_vec, outside = _aligned(obs, rfm, cfg)
+    cells = _kernels.cdm_terms(rfm.values, obs_vec, cfg.alpha1, cfg.alpha2, cfg.missing_value,
+                               cfg.minkowski_p, out=_work_arrays(rfm))
+
+    def lookup(weights: np.ndarray, min_weight: float) -> Location:
+        # a weight row gives every feature outside the universe its min weight
+        base = _outside_constant(outside, lambda _: min_weight, cfg.alpha1)
+        return _nearest(_kernels.cdm_reduce(cells, weights, base), rfm, cfg.k)
+
+    if cfg.init_mode == "knn":  # initial_location, on this search's cells
+        start = lookup(np.ones(len(rfm.feature_ids)), 1.0)
     else:
         start = _random_start(obs, rfm, cfg)
     path: list[Location] = [start]
@@ -395,8 +370,7 @@ def iterate_locate(obs: Fingerprint, rfm: ExtendedRfm,
     state: Termination | None = None
     for _ in range(cfg.max_iterations):
         row = _weight_row(rfm, path[-1], cfg, rows)
-        nxt = _nearest(comparison.dissimilarities(row.weights, comparison.base_at(row.min_weight)),
-                       rfm, cfg.k)
+        nxt = lookup(row.weights, row.min_weight)
         estimates.append(nxt)
         path.append(nxt)
         state = detect_termination(estimates, cfg)

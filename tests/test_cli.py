@@ -314,6 +314,36 @@ class TestEvalAndReport:
         assert not out_dir.exists()
 
 
+@pytest.fixture(scope="module")
+def below_default_missing(workdir, tmp_path_factory):
+    """A run located with ``--missing-value -120`` whose truth file holds a
+    value of -115: legal for that run, below the default indicator."""
+    d = tmp_path_factory.mktemp("low")
+    first, *rest = (workdir / "test.jsonl").read_text().strip().split("\n")
+    rec = json.loads(first)
+    rec["features"][next(iter(rec["features"]))] = -115.0
+    (d / "truth.jsonl").write_text("\n".join([json.dumps(rec), *rest]) + "\n")
+    assert run(["locate", "--rfm", str(workdir / "map.json"), "--obs", str(d / "truth.jsonl"),
+                "--out", str(d / "iterative.jsonl"), "--missing-value", "-120"]) == 0
+    return d
+
+
+class TestTruthReadsAnyFeatureValue:
+    # eval and report read ids and locations from the truth, never feature values
+    def test_eval(self, below_default_missing, workdir, tmp_path):
+        d = below_default_missing
+        for truth, out in ((d / "truth.jsonl", "low.csv"), (workdir / "test.jsonl", "ref.csv")):
+            assert run(["eval", "--estimates", str(d / "iterative.jsonl"),
+                        "--truth", str(truth), "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "low.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_report(self, below_default_missing, tmp_path):
+        assert run(["report", "--runs", str(below_default_missing),
+                    "--out-dir", str(tmp_path)]) == 0
+        names = [line.split(",")[0] for line in (tmp_path / "report.csv").read_text().split()]
+        assert names == ["method", "iterative", "opt"]
+
+
 def _ff_on_line_2(src, dst):
     """Copy ``src`` to ``dst`` with a 0xFF byte, never valid UTF-8, inside line 2."""
     first, second, rest = src.read_bytes().split(b"\n", 2)

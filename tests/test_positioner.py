@@ -15,10 +15,10 @@ from rfmloc.dissim import WeightVector, softmax_weights, weighted_cdm
 from rfmloc.model import (ExtendedRfm, Fingerprint, Location, PositioningConfig,
                           RfmEntry, Termination)
 from rfmloc import _kernels
-from rfmloc.positioner import (InsufficientPoints, _Comparison, _extract_loop, _k_smallest,
-                               _weight_row, _work_arrays, detect_termination, dissimilarities,
-                               initial_location, iterate_locate, knn_locate, locate_batch,
-                               mcd_center, resolve_state)
+from rfmloc.positioner import (InsufficientPoints, _aligned, _extract_loop, _k_smallest,
+                               _outside_constant, _weight_row, _work_arrays, detect_termination,
+                               dissimilarities, initial_location, iterate_locate, knn_locate,
+                               locate_batch, mcd_center, resolve_state)
 from tests.conftest import make_fp, make_rfm, random_rfm
 
 CFG = PositioningConfig()
@@ -51,6 +51,19 @@ class TestDissimilarities:
         d = dissimilarities(obs, rfm, CFG, wv)
         # zz measured against the missing indicator at fallback weight
         assert d[0] == pytest.approx(3 * 0.1 * (-70 + 110) ** 2, rel=1e-12)
+
+    def test_outside_feature_with_its_own_weight(self):
+        # a weight vector may weigh a feature the map has never seen: the
+        # constant then takes that weight, not the min weight
+        rfm = make_rfm([[0.0, 0.0], [5.0, 0.0]], ["a", "b"], [[-60.0, np.nan], [-75.0, -50.0]])
+        obs = make_fp({"a": -62.0, "zz": -70.0, "yy": -95.0})
+        wv = WeightVector({"a": 0.6, "zz": 0.3}, min_weight=0.05)
+        d = dissimilarities(obs, rfm, CFG, wv)
+        for j in range(rfm.n_points):
+            assert d[j] == pytest.approx(weighted_cdm(obs, rfm.entries_at(j), wv, CFG),
+                                         rel=1e-12)
+        assert d[0] == pytest.approx(0.6 * 4.0 + 3 * (0.3 * 40.0 ** 2 + 0.05 * 15.0 ** 2),
+                                     rel=1e-12)
 
     def test_unweighted_defaults_to_unit_weights(self):
         rfm = make_rfm([[0.0, 0.0]], ["a", "b"], [[-60.0, -70.0]])
@@ -188,13 +201,6 @@ class TestMcdCenter:
         a = mcd_center(pts)
         b = mcd_center(pts)
         assert (a.x, a.y) == (b.x, b.y)
-
-    def test_support_fraction(self):
-        pts = locs((0, 0), (0.01, 0), (0, 0.01), (9, 9))
-        got = mcd_center(pts, support_fraction=0.75)
-        assert math.hypot(got.x, got.y) < 0.05
-        with pytest.raises(ValueError):
-            mcd_center(pts, support_fraction=1.5)
 
     def test_too_few_points(self):
         with pytest.raises(InsufficientPoints):
@@ -496,10 +502,13 @@ class TestSearchSteps:
     def test_each_weighting_is_the_public_dissimilarity(self, rng):
         # bit for bit, the constant of the feature outside the map included
         for obs, rfm, cfg in sparse_search_cases(rng, 40):
-            comparison = _Comparison(obs, rfm, cfg)
+            obs_vec, outside = _aligned(obs, rfm, cfg)
+            cells = _kernels.cdm_terms(rfm.values, obs_vec, cfg.alpha1, cfg.alpha2,
+                                       cfg.missing_value, cfg.minkowski_p)
             for here in iterate_locate(obs, rfm, cfg).path:
                 row = _weight_row(rfm, here, cfg, {})
-                got = comparison.dissimilarities(row.weights, comparison.base_at(row.min_weight))
+                base = _outside_constant(outside, lambda _: row.min_weight, cfg.alpha1)
+                got = _kernels.cdm_reduce(cells, row.weights, base)
                 wv = softmax_weights(rfm.query(here), cfg.beta, cfg.weight_form)
                 assert got.tobytes() == dissimilarities(obs, rfm, cfg, wv).tobytes()
 
