@@ -13,20 +13,26 @@ Unshared features are scored by substitution: an absent value reads as
 reference has the feature and by ``alpha1`` otherwise. A cell absent on
 both sides then compares ``missing_value`` with itself and adds 0.
 
-``cdm_terms`` computes the weight-free cells, scale times Minkowski
-term, once per observation; ``cdm_reduce`` applies one weight vector to
-them as a matrix-vector product. The iterative search changes only the
-weights, so it reduces the same cells once per iteration.
+The cells depend on the observation in only one way: whether and what
+each feature was observed. ``cdm_constants`` computes the rest once per
+map and scale setting: the reference layer with absent cells read as
+``missing_value``, and the scale of each cell for an observed and for an
+unobserved column. ``cdm_cells`` then compares one observation with
+them in a single subtract, power and scale: scale times Minkowski term,
+per cell. ``cdm_reduce`` applies one weight vector to the cells as a
+matrix-vector product. The iterative search changes only the weights,
+so it reduces the same cells once per iteration.
 
-``cdm_terms`` takes ``out``: two C-ordered float arrays shaped like
-``ref`` to compute in, the first of which it returns, so a caller that
-keeps them allocates no array of that size per call. Allocated and freed
-once per search, arrays that large were handed back to the operating
-system and page-faulted in again each time, most of all on worker
-threads.
+``cdm_cells`` takes ``out``, a C-ordered float array shaped like the
+map to compute in and return, so a caller that keeps one allocates no
+array of that size per call. Allocated and freed once per search,
+arrays that large were handed back to the operating system and
+page-faulted in again each time, most of all on worker threads.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,27 +42,48 @@ from rfmloc.dissim import feature_distance
 BACKEND = "numpy"
 
 
+class CdmConstants(NamedTuple):
+    """The observation-independent layers of the kernel, shaped like the map."""
+
+    filled: np.ndarray  # the reference values, ``missing_value`` where absent
+    observed: np.ndarray  # the scale of a cell whose column the observation has
+    unobserved: np.ndarray  # the scale of a cell whose column it lacks
+
+
+def cdm_constants(ref: np.ndarray, present: np.ndarray, alpha1: float, alpha2: float,
+                  missing_value: float) -> CdmConstants:
+    """The kernel's per-map layers for one scale setting: a cell the
+    reference lacks scales by ``alpha1``; one it has scales by 1 where the
+    observation has the feature too, by ``alpha2`` where it does not."""
+    return CdmConstants(np.where(present, ref, missing_value),
+                        np.where(present, 1.0, alpha1),
+                        np.where(present, alpha2, alpha1))
+
+
+def cdm_cells(constants: CdmConstants, obs: np.ndarray, missing_value: float, p: float,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Per-cell scale times |obs - ref| ** p, with absent values read as
+    ``missing_value``; computed in ``out`` when given."""
+    obs_present = np.isfinite(obs)
+    cells = feature_distance(np.where(obs_present, obs, missing_value), constants.filled, p,
+                             out=np.empty(constants.filled.shape) if out is None else out)
+    if obs_present.all():
+        return np.multiply(cells, constants.observed, out=cells)
+    return np.multiply(cells, np.where(obs_present, constants.observed, constants.unobserved),
+                       out=cells)
+
+
 def cdm_terms(ref: np.ndarray, obs: np.ndarray, alpha1: float, alpha2: float,
               missing_value: float, p: float,
               out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Per-cell scale (1, ``alpha1`` or ``alpha2``) times |obs - ref| ** p,
-    shaped like ``ref``; computed in the pair ``out`` when given and
-    returned in its first array."""
-    ref_present = np.isfinite(ref)
-    obs_present = np.isfinite(obs)
-    scale, terms = (np.empty(ref.shape), np.empty(ref.shape)) if out is None else out
-    # putmask repeats a short value array over the cells in row-major order:
-    # one value per column
-    scale[...] = alpha1
-    np.putmask(scale, ref_present, np.where(obs_present, 1.0, alpha2))
-    terms[...] = missing_value
-    np.putmask(terms, ref_present, ref)
-    feature_distance(np.where(obs_present, obs, missing_value), terms, p, out=terms)
-    return np.multiply(scale, terms, out=scale)
+    """``cdm_cells`` with the constants of ``ref`` computed for this call;
+    the cells are computed in the first array of ``out`` when given."""
+    constants = cdm_constants(ref, np.isfinite(ref), alpha1, alpha2, missing_value)
+    return cdm_cells(constants, obs, missing_value, p, None if out is None else out[0])
 
 
 def cdm_reduce(cells: np.ndarray, weights: np.ndarray, base: float) -> np.ndarray:
-    """Weighted row sums of ``cdm_terms``' cells, plus ``base``."""
+    """Weighted row sums of ``cdm_cells``' cells, plus ``base``."""
     return cells @ weights + base
 
 
@@ -65,6 +92,6 @@ def cdm_batch(ref: np.ndarray, obs: np.ndarray, weights: np.ndarray,
               p: float, base: float,
               out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Weighted compound dissimilarity of one observation against every row;
-    ``out`` holds ``cdm_terms``' two work arrays."""
+    ``out`` is as for ``cdm_terms``."""
     return cdm_reduce(cdm_terms(ref, obs, alpha1, alpha2, missing_value, p, out),
                       weights, base)

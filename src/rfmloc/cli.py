@@ -118,7 +118,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_build(args) -> int:
     cfg = _layer_config(BuilderConfig, args)
-    records = read_fingerprints(args.raw, require_location=True)
+    # the builder never compares with the missing-value indicator
+    records = read_fingerprints(args.raw, require_location=True, missing_value=None)
     rfm = build(RawRfm.from_records(records), cfg)
     rfm.save(args.out)
     print(f"built a map with {rfm.n_points} reference points and "

@@ -23,6 +23,10 @@ import numpy as np
 
 FeatureId = str
 
+# Scale settings whose map-sized kernel constants a map keeps: a locate run
+# uses two, its configured scales and kNN's.
+KEPT_CONSTANTS = 4
+
 # The Python type of each config dataclass field, by its annotation.
 _FIELD_TYPES = {"int": int, "float": float, "str": str}
 # The JSON value types a field of each type accepts; a bool is never a number.
@@ -379,10 +383,12 @@ class ExtendedRfm:
     in the region can be queried. The layers are immutable; the backing
     arrays are marked read-only so they can be shared across threads.
 
-    The one mutable part is a bounded memo of rows derived from the
-    layers at searched locations (:meth:`remembered_row`): it holds at
-    most ``n_points`` rows, keeps each one for the life of the map, and
-    changes no result.
+    The one mutable part is a bounded memo of values derived from the
+    layers: rows at searched locations (:meth:`remembered_row`), at most
+    ``n_points`` of them, and the kernel's map-sized constants per scale
+    setting (:meth:`remembered_constants`), at most ``KEPT_CONSTANTS``
+    settings. It keeps each value for the life of the map and changes no
+    result.
     """
 
     def __init__(self, locations, feature_ids: Sequence[FeatureId], values, sigmas,
@@ -423,7 +429,8 @@ class ExtendedRfm:
         self._entry_counts = entry_counts
         self._config = builder_config
         self._rows: dict = {}
-        self._rows_lock = threading.Lock()
+        self._constants: dict = {}
+        self._memo_lock = threading.Lock()
 
     @property
     def n_points(self) -> int:
@@ -451,6 +458,11 @@ class ExtendedRfm:
     def sigmas(self) -> np.ndarray:
         """Spread layer, same shape and presence pattern as ``values``."""
         return self._sigmas
+
+    @property
+    def present(self) -> np.ndarray:
+        """Where the map has an entry: the finite cells of both layers."""
+        return self._present
 
     @property
     def entry_counts(self) -> np.ndarray:
@@ -516,16 +528,26 @@ class ExtendedRfm:
         ``compute`` must depend on ``key`` and the map alone, and its
         arrays are made read-only, since every later caller shares them.
         """
-        row = self._rows.get(key)
-        if row is None:
-            row = compute()
-            for part in row:
+        return self._remembered(self._rows, self.n_points, key, compute)
+
+    def remembered_constants(self, key: Hashable, compute: Callable[[], tuple]) -> tuple:
+        """:meth:`remembered_row` for map-sized values, such as the
+        kernel's constants for one scale setting: at most
+        ``KEPT_CONSTANTS`` keys are kept."""
+        return self._remembered(self._constants, KEPT_CONSTANTS, key, compute)
+
+    def _remembered(self, memo: dict, cap: int, key: Hashable,
+                    compute: Callable[[], tuple]) -> tuple:
+        value = memo.get(key)
+        if value is None:
+            value = compute()
+            for part in value:
                 if isinstance(part, np.ndarray):
                     part.setflags(write=False)
-            with self._rows_lock:
-                if key in self._rows or len(self._rows) < self.n_points:
-                    row = self._rows.setdefault(key, row)
-        return row
+            with self._memo_lock:
+                if key in memo or len(memo) < cap:
+                    value = memo.setdefault(key, value)
+        return value
 
     def to_json(self) -> str:
         fids = self._feature_ids

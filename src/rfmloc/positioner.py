@@ -6,11 +6,12 @@ the same weighted lookup as a fixed point search: the spread layer at the
 previous estimate yields fresh softmax weights for the next lookup, until
 the estimate converges, revisits an earlier one (a loop), or the iteration
 budget runs out. A search computes the weight-free dissimilarity cells
-of its observation once and only re-weights them, for its kNN start and
-each iteration; the weights at a location come from the map's memo of
-weight rows when another search has been there. Tight loops resolve to a
-robust center of the cycle; everything else falls back to the searched
-location whose expected feature set best matches the observation.
+of its observation once, from kernel constants the map keeps per scale
+setting, and only re-weights them, for its kNN start and each iteration;
+the weights at a location come from the map's memo of weight rows when
+another search has been there. Tight loops resolve to a robust center of
+the cycle; everything else falls back to the searched location whose
+expected feature set best matches the observation.
 """
 
 from __future__ import annotations
@@ -30,24 +31,37 @@ from rfmloc import _kernels
 from rfmloc.dissim import (EmptyComparison, WeightVector, feature_distance, mji,
                            softmax_row, softmax_weights)
 from rfmloc.model import (ExtendedRfm, FeatureId, Fingerprint, Location,
-                          PositionEstimate, PositioningConfig, Termination, attributes)
+                          PositionEstimate, PositioningConfig, Termination)
 
 
 _work = threading.local()
 
 
-def _work_arrays(rfm: ExtendedRfm) -> tuple[np.ndarray, np.ndarray]:
-    """The calling thread's two kernel work arrays, shaped like the map.
+def _work_array(rfm: ExtendedRfm) -> np.ndarray:
+    """The calling thread's kernel work array, shaped like the map.
 
-    Kept per thread, so that no search or iteration allocates map-sized
-    arrays, and reused by every comparison with a map of that shape: one
-    search holds them from its first lookup to its end, and nothing else
+    Kept per thread, so that no search or iteration allocates a map-sized
+    array, and reused by every comparison with a map of that shape: one
+    search holds it from its first lookup to its end, and nothing else
     runs on the thread in between.
     """
-    arrays = getattr(_work, "arrays", None)
-    if arrays is None or arrays[0].shape != rfm.values.shape:
-        arrays = _work.arrays = (np.empty(rfm.values.shape), np.empty(rfm.values.shape))
-    return arrays
+    array = getattr(_work, "array", None)
+    if array is None or array.shape != rfm.values.shape:
+        array = _work.array = np.empty(rfm.values.shape)
+    return array
+
+
+def _cells(obs_vec: np.ndarray, rfm: ExtendedRfm, cfg: PositioningConfig) -> np.ndarray:
+    """The weight-free cells of ``obs_vec`` against ``rfm``, in the calling
+    thread's work array, from the constants the map keeps for ``cfg``'s
+    scales."""
+    def compute() -> _kernels.CdmConstants:
+        return _kernels.cdm_constants(rfm.values, rfm.present, cfg.alpha1, cfg.alpha2,
+                                      cfg.missing_value)
+
+    constants = rfm.remembered_constants((cfg.alpha1, cfg.alpha2, cfg.missing_value), compute)
+    return _kernels.cdm_cells(constants, obs_vec, cfg.missing_value, cfg.minkowski_p,
+                              out=_work_array(rfm))
 
 
 class InsufficientPoints(ValueError):
@@ -118,10 +132,8 @@ def dissimilarities(obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig,
     else:
         weights = np.array([wv.get(f) for f in rfm.feature_ids], dtype=float)
         weight = wv.get
-    return _kernels.cdm_batch(rfm.values, obs_vec, weights, cfg.alpha1, cfg.alpha2,
-                              cfg.missing_value, cfg.minkowski_p,
-                              _outside_constant(outside, weight, cfg.alpha1),
-                              out=_work_arrays(rfm))
+    return _kernels.cdm_reduce(_cells(obs_vec, rfm, cfg), weights,
+                               _outside_constant(outside, weight, cfg.alpha1))
 
 
 def _k_smallest(d: np.ndarray, k: int) -> np.ndarray:
@@ -320,16 +332,18 @@ def resolve_state(state: Termination, path: Sequence[Location],
                                 kept_loop, obs.id)
     if rows is None:
         rows = {}
-    obs_attrs = attributes(obs)
-    fids = rfm.feature_ids
+    # the observed features as map indices, the ones outside the map as their
+    # ids: the same overlap sizes as the feature ids give, with no id looked
+    # up per path point
+    index = rfm.feature_index
+    obs_attrs = frozenset(index.get(a, a) for a in obs.features)
     best_score = -1.0
     best_index = 0
     for i, p in enumerate(path):
         # a featureless observation gives every point the same (undefined)
         # overlap; keep the earliest rather than raising
         if obs_attrs:
-            features = _weight_row(rfm, p, cfg, rows).features
-            score = mji(obs_attrs, frozenset(fids[f] for f in features.tolist()))
+            score = mji(obs_attrs, frozenset(_weight_row(rfm, p, cfg, rows).features.tolist()))
         else:
             score = 0.0
         if score > best_score:
@@ -352,8 +366,7 @@ def iterate_locate(obs: Fingerprint, rfm: ExtendedRfm,
     the map remembers the weights.
     """
     obs_vec, outside = _aligned(obs, rfm, cfg)
-    cells = _kernels.cdm_terms(rfm.values, obs_vec, cfg.alpha1, cfg.alpha2, cfg.missing_value,
-                               cfg.minkowski_p, out=_work_arrays(rfm))
+    cells = _cells(obs_vec, rfm, cfg)
 
     def lookup(weights: np.ndarray, min_weight: float) -> Location:
         # a weight row gives every feature outside the universe its min weight

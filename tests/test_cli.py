@@ -88,6 +88,23 @@ class TestBuild:
         rfm = ExtendedRfm.load(out)
         assert (rfm.n_points, rfm.feature_ids) == (4, ())
 
+    def test_survey_below_default_missing_value_builds(self, tmp_path):
+        # the builder never compares with the missing-value indicator; locate
+        # does, and takes a lower one by flag
+        assert run(["synth", "--seed", "3", "--n-aps", "4", "--passes", "1",
+                    "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "raw.jsonl").read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if json.loads(line)["features"])
+        rec = json.loads(lines[at])
+        rec["features"][next(iter(rec["features"]))] = -115.0
+        lines[at] = json.dumps(rec)
+        (tmp_path / "low.jsonl").write_text("\n".join(lines) + "\n")
+        assert run(["build", "--raw", str(tmp_path / "low.jsonl"),
+                    "--out", str(tmp_path / "map.json")]) == 0
+        assert run(["locate", "--rfm", str(tmp_path / "map.json"),
+                    "--obs", str(tmp_path / "test.jsonl"), "--out", str(tmp_path / "est.jsonl"),
+                    "--missing-value", "-120"]) == 0
+
     def test_unknown_config_key_exits_1(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "b.cfg"
         cfg.write_text("sigma_ceiling = 4\n")

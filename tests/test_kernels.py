@@ -145,6 +145,50 @@ class TestStages:
                                                   base).result(), want)
 
 
+def per_call_terms(ref, obs, a1, a2, gamma, p):
+    """The weight-free cells as they were computed before the per-map
+    constants were split out: presence, fill and scale rebuilt per call."""
+    ref_present = np.isfinite(ref)
+    obs_present = np.isfinite(obs)
+    scale, terms = np.empty(ref.shape), np.empty(ref.shape)
+    scale[...] = a1
+    np.putmask(scale, ref_present, np.where(obs_present, 1.0, a2))
+    terms[...] = gamma
+    np.putmask(terms, ref_present, ref)
+    feature_distance(np.where(obs_present, obs, gamma), terms, p, out=terms)
+    return np.multiply(scale, terms, out=scale)
+
+
+class TestConstants:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("corner", [None, "all-observed", "zero-alphas", "featureless-obs"])
+    def test_cells_are_the_per_call_expression_bit_for_bit(self, rng, p, corner):
+        for _ in range(60):
+            ref, obs, _, a1, a2, gamma, p, _ = random_case(rng, p=p)
+            if corner == "all-observed":
+                obs = rng.uniform(-105, -40, size=obs.shape)
+            elif corner == "zero-alphas":
+                a1 = a2 = 0.0
+            elif corner == "featureless-obs":
+                obs[:] = np.nan
+            want = per_call_terms(ref, obs, a1, a2, gamma, p).tobytes()
+            constants = _kernels.cdm_constants(ref, np.isfinite(ref), a1, a2, gamma)
+            for layer in constants:
+                layer.setflags(write=False)  # shared constants are never written
+            assert _kernels.cdm_cells(constants, obs, gamma, p).tobytes() == want
+            work = np.full(ref.shape, np.nan)
+            assert _kernels.cdm_cells(constants, obs, gamma, p, out=work) is work
+            assert work.tobytes() == want
+            assert _kernels.cdm_terms(ref, obs, a1, a2, gamma, p).tobytes() == want
+
+    def test_layers_hold_the_fill_and_both_scales(self):
+        ref = np.array([[-50.0, np.nan], [np.nan, -70.0]])
+        constants = _kernels.cdm_constants(ref, np.isfinite(ref), 3.0, 2.0, GAMMA)
+        assert constants.filled.tolist() == [[-50.0, GAMMA], [GAMMA, -70.0]]
+        assert constants.observed.tolist() == [[1.0, 3.0], [3.0, 1.0]]
+        assert constants.unobserved.tolist() == [[2.0, 3.0], [3.0, 2.0]]
+
+
 class TestSelection:
     def test_module_exposes_backend_name(self):
         assert _kernels.BACKEND == "numpy"

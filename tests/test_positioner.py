@@ -1,6 +1,7 @@
 """Lookup, iteration, termination handling, robust loop center."""
 
 import itertools
+import json
 import math
 import sys
 import threading
@@ -11,12 +12,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from rfmloc.dissim import WeightVector, softmax_weights, weighted_cdm
-from rfmloc.model import (ExtendedRfm, Fingerprint, Location, PositioningConfig,
-                          RfmEntry, Termination)
+from rfmloc.builder import BuilderConfig
+from rfmloc.dissim import WeightVector, mji, softmax_weights, weighted_cdm
+from rfmloc.model import (KEPT_CONSTANTS, ExtendedRfm, Fingerprint, Location,
+                          PositioningConfig, RfmEntry, Termination, estimate_to_obj)
 from rfmloc import _kernels
 from rfmloc.positioner import (InsufficientPoints, _aligned, _extract_loop, _k_smallest,
-                               _outside_constant, _weight_row, _work_arrays, detect_termination,
+                               _outside_constant, _weight_row, _work_array, detect_termination,
                                dissimilarities, initial_location, iterate_locate, knn_locate,
                                locate_batch, mcd_center, resolve_state)
 from tests.conftest import make_fp, make_rfm, random_rfm
@@ -260,6 +262,20 @@ class TestResolveState:
         assert est.location == Location(50.0, 0.0)  # earliest of the tied pair
         assert est.tf is Termination.MAX
 
+    def test_max_scores_the_overlap_of_feature_ids(self, rng):
+        # the rule on the queried entry lists' ids, a feature outside the map included
+        for _ in range(40):
+            rfm = random_rfm(rng, n_points=12, n_features=6, density=0.4,
+                             sigma_range=(0.5, 6.0), config=BuilderConfig(bandwidth=0.5))
+            features = {f: -60.0 for f in rfm.feature_ids if rng.random() < 0.5}
+            features["02:ff:00:00:00:00"] = -70.0
+            obs = make_fp(features)
+            path = [rfm.location_at(int(j)) for j in rng.integers(rfm.n_points, size=6)]
+            scores = [mji(frozenset(features), frozenset(e.feature for e in rfm.query(p)))
+                      for p in path]
+            est = resolve_state(Termination.MAX, path, None, obs, rfm, CFG)
+            assert est.location == path[scores.index(max(scores))]
+
     def test_featureless_observation_keeps_earliest(self):
         rfm = self._tiny_rfm()
         path = locs((2, 2), (3, 3), (4, 4))
@@ -454,6 +470,77 @@ class TestWeightMemo:
                     part[0] = part[0]
 
 
+class TestKernelConstants:
+    def test_one_read_only_entry_per_scale_setting(self, rng):
+        rfm = random_rfm(rng, n_points=20, n_features=5, density=0.6, sigma_range=(0.5, 6.0))
+        queries = [make_fp({f: float(rng.uniform(-105, -40))
+                            for f in rfm.feature_ids if rng.random() < 0.7}, fp_id=i)
+                   for i in range(10)]
+        for method in ("iterative", "knn", "cdm", "iterative"):
+            locate_batch(queries, rfm, CFG, method=method)
+        keys = {(CFG.alpha1, CFG.alpha2, CFG.missing_value), (1.0, 1.0, CFG.missing_value)}
+        assert set(rfm._constants) == keys
+        for a1, a2, missing in keys:
+            want = _kernels.cdm_constants(rfm.values, np.isfinite(rfm.values), a1, a2, missing)
+            kept = rfm._constants[(a1, a2, missing)]
+            for layer, fresh in zip(kept, want):
+                assert not layer.flags.writeable
+                assert layer.tobytes() == fresh.tobytes()
+
+    def test_keeps_at_most_a_fixed_number_of_settings(self, rng):
+        rfm = random_rfm(rng, n_points=12, n_features=4, density=0.7, sigma_range=(0.5, 6.0))
+        queries = [make_fp({f: float(rng.uniform(-105, -40))
+                            for f in rfm.feature_ids if rng.random() < 0.7}, fp_id=i)
+                   for i in range(8)]
+        settings = [replace(CFG, alpha1=1.0 + i, alpha2=2.0 + i)
+                    for i in range(KEPT_CONSTANTS + 3)]
+        for _ in range(2):  # the second round asks for settings the memo turned away
+            for cfg in settings:
+                assert (locate_batch(queries, rfm, cfg, method="cdm")
+                        == locate_batch(queries, same_map(rfm), cfg, method="cdm"))
+        assert len(rfm._constants) == KEPT_CONSTANTS
+
+    def test_racing_first_fills_share_one_value(self, rng):
+        rfm = random_rfm(rng, n_points=10, n_features=4, density=0.7, sigma_range=(0.5, 6.0))
+        threads = 8
+        start = threading.Barrier(threads)
+
+        def compute():
+            time.sleep(1e-4)  # let the other threads run between lookup and insert
+            return _kernels.cdm_constants(rfm.values, rfm.present, 1.0, 1.0, -110.0)
+
+        def fill(_):
+            start.wait(timeout=10)
+            return rfm.remembered_constants("key", compute)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                got = [f.result(timeout=60) for f in [pool.submit(fill, t)
+                                                      for t in range(threads)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(value is rfm._constants["key"] for value in got)
+
+    def test_alternating_methods_on_one_map_match_a_map_per_method(self, rng):
+        rfm = random_rfm(rng, n_points=25, n_features=6, density=0.6, sigma_range=(0.5, 6.0))
+        queries = [make_fp({f: float(rng.uniform(-105, -40))
+                            for f in rfm.feature_ids if rng.random() < 0.7}, fp_id=i)
+                   for i in range(20)]
+        methods = ("knn", "iterative", "cdm")
+
+        def lines(estimates):
+            return [json.dumps(estimate_to_obj(e)) for e in estimates]
+
+        alone = {m: lines(locate_batch(queries, same_map(rfm), CFG, method=m)) for m in methods}
+        mixed = {m: [] for m in methods}
+        for q in queries:
+            for m in methods:
+                mixed[m] += lines(locate_batch([q], rfm, CFG, method=m))
+        assert mixed == alone
+
+
 def sparse_search_cases(rng, count):
     """Random sparse maps, each with an observation that also holds a
     feature outside the map's universe, for k = 1 and 3 and both starts."""
@@ -514,13 +601,13 @@ class TestSearchSteps:
 
     def test_one_comparison_per_search(self, rng, monkeypatch):
         calls = []
-        terms = _kernels.cdm_terms
+        cells = _kernels.cdm_cells
 
-        def counting_terms(*args, **kwargs):
+        def counting_cells(*args, **kwargs):
             calls.append(args)
-            return terms(*args, **kwargs)
+            return cells(*args, **kwargs)
 
-        monkeypatch.setattr(_kernels, "cdm_terms", counting_terms)
+        monkeypatch.setattr(_kernels, "cdm_cells", counting_cells)
         iterations = set()
         for obs, rfm, cfg in sparse_search_cases(rng, 40):
             calls.clear()
@@ -551,23 +638,21 @@ class TestWorkArrays:
     def test_kept_per_thread_and_map_shape(self, rng):
         small = random_rfm(rng, n_points=6, n_features=3, density=0.7, sigma_range=(0.5, 4.0))
         large = random_rfm(rng, n_points=9, n_features=5, density=0.7, sigma_range=(0.5, 4.0))
-        mine = _work_arrays(small)
-        assert _work_arrays(small) is mine
-        assert [a.shape for a in mine] == [small.values.shape] * 2
+        mine = _work_array(small)
+        assert _work_array(small) is mine
+        assert mine.shape == small.values.shape
         with ThreadPoolExecutor(max_workers=1) as pool:
-            theirs = pool.submit(_work_arrays, small).result()
-        assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
-        assert [a.shape for a in _work_arrays(large)] == [large.values.shape] * 2
+            theirs = pool.submit(_work_array, small).result()
+        assert not np.shares_memory(mine, theirs)
+        assert _work_array(large).shape == large.values.shape
 
     def test_stale_contents_change_no_result(self, rng):
         for obs, rfm, cfg in sparse_search_cases(rng, 16):
             results = []
             for junk in (np.nan, 1e300, -0.0):
-                for a in _work_arrays(rfm):
-                    a.fill(junk)
+                _work_array(rfm).fill(junk)
                 est = iterate_locate(obs, rfm, cfg)
-                for a in _work_arrays(rfm):
-                    a.fill(junk)
+                _work_array(rfm).fill(junk)
                 results.append((est, dissimilarities(obs, rfm, cfg).tolist()))
             assert results[0] == results[1] == results[2]
 
