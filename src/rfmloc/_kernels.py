@@ -16,10 +16,12 @@ both sides then compares ``missing_value`` with itself and adds 0.
 The cells depend on the observation in only one way: whether and what
 each feature was observed. ``cdm_constants`` computes the rest once per
 map and scale setting: the reference layer with absent cells read as
-``missing_value``, and the scale of each cell for an observed and for an
-unobserved column. ``cdm_cells`` then compares one observation with
-them in a single subtract, power and scale: scale times Minkowski term,
-per cell. ``cdm_reduce`` applies one weight vector to the cells as a
+``missing_value``, and the scale of each cell for an observed column. An
+unobserved column differs only where the reference has the feature,
+which scales by ``alpha2`` instead of 1; its other cells are 0 under any
+scale. ``cdm_cells`` then compares one observation with them in a single
+subtract, power and scale, and scales its unobserved columns by
+``alpha2``. ``cdm_reduce`` applies one weight vector to the cells as a
 matrix-vector product. The iterative search changes only the weights,
 so it reduces the same cells once per iteration.
 
@@ -43,21 +45,21 @@ BACKEND = "numpy"
 
 
 class CdmConstants(NamedTuple):
-    """The observation-independent layers of the kernel, shaped like the map."""
+    """The observation-independent parts of the kernel for one scale setting."""
 
     filled: np.ndarray  # the reference values, ``missing_value`` where absent
     observed: np.ndarray  # the scale of a cell whose column the observation has
-    unobserved: np.ndarray  # the scale of a cell whose column it lacks
+    alpha2: float  # the further scale of the columns it lacks
 
 
-def cdm_constants(ref: np.ndarray, present: np.ndarray, alpha1: float, alpha2: float,
+def cdm_constants(ref: np.ndarray, alpha1: float, alpha2: float,
                   missing_value: float) -> CdmConstants:
-    """The kernel's per-map layers for one scale setting: a cell the
-    reference lacks scales by ``alpha1``; one it has scales by 1 where the
-    observation has the feature too, by ``alpha2`` where it does not."""
+    """The kernel's constants for one scale setting: ``ref`` with its NaN
+    cells read as ``missing_value``, the observed-column scale (``alpha1``
+    where ``ref`` lacks the feature, 1 where it has it), and ``alpha2``."""
+    present = np.isfinite(ref)
     return CdmConstants(np.where(present, ref, missing_value),
-                        np.where(present, 1.0, alpha1),
-                        np.where(present, alpha2, alpha1))
+                        np.where(present, 1.0, alpha1), alpha2)
 
 
 def cdm_cells(constants: CdmConstants, obs: np.ndarray, missing_value: float, p: float,
@@ -67,19 +69,11 @@ def cdm_cells(constants: CdmConstants, obs: np.ndarray, missing_value: float, p:
     obs_present = np.isfinite(obs)
     cells = feature_distance(np.where(obs_present, obs, missing_value), constants.filled, p,
                              out=np.empty(constants.filled.shape) if out is None else out)
-    if obs_present.all():
-        return np.multiply(cells, constants.observed, out=cells)
-    return np.multiply(cells, np.where(obs_present, constants.observed, constants.unobserved),
-                       out=cells)
-
-
-def cdm_terms(ref: np.ndarray, obs: np.ndarray, alpha1: float, alpha2: float,
-              missing_value: float, p: float,
-              out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """``cdm_cells`` with the constants of ``ref`` computed for this call;
-    the cells are computed in the first array of ``out`` when given."""
-    constants = cdm_constants(ref, np.isfinite(ref), alpha1, alpha2, missing_value)
-    return cdm_cells(constants, obs, missing_value, p, None if out is None else out[0])
+    np.multiply(cells, constants.observed, out=cells)
+    if not obs_present.all():
+        # (t * 1) * alpha2 rounds as t * alpha2; a cell absent on both sides stays 0
+        np.multiply(cells, np.where(obs_present, 1.0, constants.alpha2), out=cells)
+    return cells
 
 
 def cdm_reduce(cells: np.ndarray, weights: np.ndarray, base: float) -> np.ndarray:
@@ -89,9 +83,7 @@ def cdm_reduce(cells: np.ndarray, weights: np.ndarray, base: float) -> np.ndarra
 
 def cdm_batch(ref: np.ndarray, obs: np.ndarray, weights: np.ndarray,
               alpha1: float, alpha2: float, missing_value: float,
-              p: float, base: float,
-              out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Weighted compound dissimilarity of one observation against every row;
-    ``out`` is as for ``cdm_terms``."""
-    return cdm_reduce(cdm_terms(ref, obs, alpha1, alpha2, missing_value, p, out),
-                      weights, base)
+              p: float, base: float) -> np.ndarray:
+    """Weighted compound dissimilarity of one observation against every row."""
+    constants = cdm_constants(ref, alpha1, alpha2, missing_value)
+    return cdm_reduce(cdm_cells(constants, obs, missing_value, p), weights, base)

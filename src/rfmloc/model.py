@@ -387,8 +387,8 @@ class ExtendedRfm:
     layers: rows at searched locations (:meth:`remembered_row`), at most
     ``n_points`` of them, and the kernel's map-sized constants per scale
     setting (:meth:`remembered_constants`), at most ``KEPT_CONSTANTS``
-    settings. It keeps each value for the life of the map and changes no
-    result.
+    settings. Every search shares it, and no search keeps a copy. It keeps
+    each value for the life of the map and changes no result.
     """
 
     def __init__(self, locations, feature_ids: Sequence[FeatureId], values, sigmas,
@@ -460,11 +460,6 @@ class ExtendedRfm:
         return self._sigmas
 
     @property
-    def present(self) -> np.ndarray:
-        """Where the map has an entry: the finite cells of both layers."""
-        return self._present
-
-    @property
     def entry_counts(self) -> np.ndarray:
         return self._entry_counts
 
@@ -524,7 +519,8 @@ class ExtendedRfm:
         """The row remembered under ``key``, else the row ``compute()`` returns.
 
         A computed row is remembered while the map holds fewer than
-        ``n_points`` rows; after that, rows are computed and not kept.
+        ``n_points`` rows; after that, rows are computed and not kept, so
+        a caller that asks for one twice computes it twice.
         ``compute`` must depend on ``key`` and the map alone, and its
         arrays are made read-only, since every later caller shares them.
         """

@@ -7,11 +7,12 @@ previous estimate yields fresh softmax weights for the next lookup, until
 the estimate converges, revisits an earlier one (a loop), or the iteration
 budget runs out. A search computes the weight-free dissimilarity cells
 of its observation once, from kernel constants the map keeps per scale
-setting, and only re-weights them, for its kNN start and each iteration;
-the weights at a location come from the map's memo of weight rows when
-another search has been there. Tight loops resolve to a robust center of
-the cycle; everything else falls back to the searched location whose
-expected feature set best matches the observation.
+setting, and only re-weights them, for its kNN start and each iteration.
+The weights at a location, and its feature set for the fallback below,
+come from the map's memo of weight rows, which every search shares.
+Tight loops resolve to a robust center of the cycle; everything else
+falls back to the searched location whose expected feature set best
+matches the observation.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ def _cells(obs_vec: np.ndarray, rfm: ExtendedRfm, cfg: PositioningConfig) -> np.
     thread's work array, from the constants the map keeps for ``cfg``'s
     scales."""
     def compute() -> _kernels.CdmConstants:
-        return _kernels.cdm_constants(rfm.values, rfm.present, cfg.alpha1, cfg.alpha2,
-                                      cfg.missing_value)
+        return _kernels.cdm_constants(rfm.values, cfg.alpha1, cfg.alpha2, cfg.missing_value)
 
     constants = rfm.remembered_constants((cfg.alpha1, cfg.alpha2, cfg.missing_value), compute)
     return _kernels.cdm_cells(constants, obs_vec, cfg.missing_value, cfg.minkowski_p,
@@ -76,20 +76,16 @@ class _WeightRow(NamedTuple):
     features: np.ndarray  # indices of the features with an entry there
 
 
-def _weight_row(rfm: ExtendedRfm, loc: Location, cfg: PositioningConfig,
-                rows: dict[Location, _WeightRow]) -> _WeightRow:
-    """The softmax weights of the spread layer at ``loc``: from ``rows``,
-    the search's own, else from the map's memo, else smoothed once here."""
-    row = rows.get(loc)
-    if row is None:
-        def compute() -> _WeightRow:
-            features, _, sigmas = rfm.query_arrays(loc)
-            weights, low = softmax_row(sigmas, features, len(rfm.feature_ids), cfg.beta,
-                                       cfg.weight_form)
-            return _WeightRow(weights, low, features)
+def _weight_row(rfm: ExtendedRfm, loc: Location, cfg: PositioningConfig) -> _WeightRow:
+    """The softmax weights of the spread layer at ``loc``: from the map's
+    memo, else smoothed here."""
+    def compute() -> _WeightRow:
+        features, _, sigmas = rfm.query_arrays(loc)
+        weights, low = softmax_row(sigmas, features, len(rfm.feature_ids), cfg.beta,
+                                   cfg.weight_form)
+        return _WeightRow(weights, low, features)
 
-        row = rows[loc] = rfm.remembered_row((loc, cfg.beta, cfg.weight_form), compute)
-    return row
+    return rfm.remembered_row((loc, cfg.beta, cfg.weight_form), compute)
 
 
 def _aligned(obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig
@@ -277,25 +273,27 @@ def mcd_center(points: Sequence[Location]) -> Location:
     return Location(float(center[0]), float(center[1]))
 
 
+def _cov(points: np.ndarray) -> np.ndarray:
+    """The 2 x 2 sample covariance of at least 2 points."""
+    centered = points - points.mean(axis=0)
+    return centered.T @ centered / (len(points) - 1)
+
+
 def _cov_det(sub: np.ndarray) -> float:
-    centered = sub - sub.mean(axis=0)
-    cov = centered.T @ centered / (len(sub) - 1)
+    cov = _cov(sub)
     return float(cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0])
 
 
 def _rank_deficient(pts: np.ndarray) -> bool:
-    centered = pts - pts.mean(axis=0)
-    cov = centered.T @ centered / max(len(pts) - 1, 1)
-    eigvals = np.linalg.eigvalsh(cov)
+    eigvals = np.linalg.eigvalsh(_cov(pts))
     return bool(eigvals[0] <= 1e-12 * max(eigvals[1], 1e-300))
+
 
 def _concentration_step(pts: np.ndarray, subset: np.ndarray, h: int) -> np.ndarray:
     sub = pts[subset]
-    mean = sub.mean(axis=0)
-    centered = sub - mean
-    cov = centered.T @ centered / (len(sub) - 1)
+    cov = _cov(sub)
     det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    diff = pts - mean
+    diff = pts - sub.mean(axis=0)
     if det <= 1e-300:
         dist = (diff * diff).sum(axis=1)  # singular scatter, rank by plain distance
     else:
@@ -306,17 +304,15 @@ def _concentration_step(pts: np.ndarray, subset: np.ndarray, h: int) -> np.ndarr
 
 def resolve_state(state: Termination, path: Sequence[Location],
                   loop_points: Sequence[Location] | None, obs: Fingerprint,
-                  rfm: ExtendedRfm, cfg: PositioningConfig,
-                  rows: dict[Location, _WeightRow] | None = None) -> PositionEstimate:
+                  rfm: ExtendedRfm, cfg: PositioningConfig) -> PositionEstimate:
     """Turn a terminated search into the final estimate.
 
     Converging keeps the last estimate. A loop that is both long enough
     and tight enough resolves to the robust center of its points; any
     other loop, and the exhausted-budget state, fall back to the searched
     location whose map feature set best matches the observation (ties go
-    to the earliest), reported with the max-budget flag. ``rows`` holds
-    the weight rows the search already has, by location; the fallback
-    takes its feature sets from them and adds the ones it computes.
+    to the earliest), reported with the max-budget flag. The fallback
+    takes each point's feature set from the map's memo of weight rows.
     """
     path = tuple(path)
     iterations = len(path) - 1
@@ -330,8 +326,6 @@ def resolve_state(state: Termination, path: Sequence[Location],
         center = mcd_center(kept_loop)
         return PositionEstimate(center, Termination.LOOPING, iterations, path,
                                 kept_loop, obs.id)
-    if rows is None:
-        rows = {}
     # the observed features as map indices, the ones outside the map as their
     # ids: the same overlap sizes as the feature ids give, with no id looked
     # up per path point
@@ -343,7 +337,7 @@ def resolve_state(state: Termination, path: Sequence[Location],
         # a featureless observation gives every point the same (undefined)
         # overlap; keep the earliest rather than raising
         if obs_attrs:
-            score = mji(obs_attrs, frozenset(_weight_row(rfm, p, cfg, rows).features.tolist()))
+            score = mji(obs_attrs, frozenset(_weight_row(rfm, p, cfg).features.tolist()))
         else:
             score = 0.0
         if score > best_score:
@@ -362,8 +356,7 @@ def iterate_locate(obs: Fingerprint, rfm: ExtendedRfm,
     weights of the spread layer at the previous estimate and repeats the
     lookup under them. Termination is total: converging, looping, or the
     iteration budget, whichever comes first. The spread layer is smoothed
-    at most once per searched location and search, and not at all where
-    the map remembers the weights.
+    only at searched locations whose weights the map does not remember.
     """
     obs_vec, outside = _aligned(obs, rfm, cfg)
     cells = _cells(obs_vec, rfm, cfg)
@@ -379,10 +372,9 @@ def iterate_locate(obs: Fingerprint, rfm: ExtendedRfm,
         start = _random_start(obs, rfm, cfg)
     path: list[Location] = [start]
     estimates: list[Location] = []
-    rows: dict[Location, _WeightRow] = {}
     state: Termination | None = None
     for _ in range(cfg.max_iterations):
-        row = _weight_row(rfm, path[-1], cfg, rows)
+        row = _weight_row(rfm, path[-1], cfg)
         nxt = lookup(row.weights, row.min_weight)
         estimates.append(nxt)
         path.append(nxt)
@@ -390,7 +382,7 @@ def iterate_locate(obs: Fingerprint, rfm: ExtendedRfm,
         if state is not None:
             break
     loop_points = _extract_loop(estimates) if state is Termination.LOOPING else None
-    return resolve_state(state, path, loop_points, obs, rfm, cfg, rows)
+    return resolve_state(state, path, loop_points, obs, rfm, cfg)
 
 
 def locate_batch(observations: Sequence[Fingerprint], rfm: ExtendedRfm,

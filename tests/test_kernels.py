@@ -74,6 +74,11 @@ class TestNumpyBackend:
         assert got[0] == pytest.approx(expected, rel=1e-12)
 
 
+def cells_of(ref, obs, a1, a2, gamma, p, out=None):
+    """The weight-free cells with the constants of ``ref`` computed for this call."""
+    return _kernels.cdm_cells(_kernels.cdm_constants(ref, a1, a2, gamma), obs, gamma, p, out)
+
+
 def one_pass(ref, obs, weights, a1, a2, gamma, p, base):
     """The kernel as a single expression, as it was before the split."""
     ref_present = np.isfinite(ref)
@@ -93,7 +98,7 @@ class TestStages:
             if featureless:
                 obs[:] = np.nan
             case = (ref, obs, weights, a1, a2, gamma, p, base)
-            cells = _kernels.cdm_terms(ref, obs, a1, a2, gamma, p)
+            cells = cells_of(ref, obs, a1, a2, gamma, p)
             staged = _kernels.cdm_reduce(cells, weights, base)
             assert np.array_equal(staged, _kernels.cdm_batch(*case))
             # the product sums w * (s * t) in BLAS order, not (w * s) * t pairwise
@@ -111,16 +116,15 @@ class TestStages:
         for _ in range(40):
             case = random_case(rng, p=p)
             ref, obs, weights, a1, a2, gamma, p, base = case
-            # whatever an earlier call left in the work arrays is overwritten
-            work = tuple(rng.uniform(-1e3, 1e3, size=ref.shape) for _ in range(2))
-            work[0][0, 0] = work[1][-1, -1] = np.nan
-            cells = _kernels.cdm_terms(ref, obs, a1, a2, gamma, p, out=work)
-            assert cells is work[0]
-            fresh = _kernels.cdm_terms(ref, obs, a1, a2, gamma, p)
+            # whatever an earlier call left in the work array is overwritten
+            work = rng.uniform(-1e3, 1e3, size=ref.shape)
+            work[0, 0] = work[-1, -1] = np.nan
+            cells = cells_of(ref, obs, a1, a2, gamma, p, out=work)
+            assert cells is work
+            fresh = cells_of(ref, obs, a1, a2, gamma, p)
             assert np.array_equal(cells, fresh)
             assert np.array_equal(_kernels.cdm_reduce(cells, weights, base),
-                                  _kernels.cdm_reduce(fresh, weights, base))
-            assert np.array_equal(_kernels.cdm_batch(*case, out=work), _kernels.cdm_batch(*case))
+                                  _kernels.cdm_batch(*case))
 
     @pytest.mark.parametrize("shape", [(7, 3), (906, 24), (1849, 40)])
     def test_reduce_ignores_alignment_and_thread(self, rng, shape):
@@ -161,7 +165,8 @@ def per_call_terms(ref, obs, a1, a2, gamma, p):
 
 class TestConstants:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
-    @pytest.mark.parametrize("corner", [None, "all-observed", "zero-alphas", "featureless-obs"])
+    @pytest.mark.parametrize("corner", [None, "all-observed", "zero-alphas", "featureless-obs",
+                                        "alpha2-zero", "alpha1-zero"])
     def test_cells_are_the_per_call_expression_bit_for_bit(self, rng, p, corner):
         for _ in range(60):
             ref, obs, _, a1, a2, gamma, p, _ = random_case(rng, p=p)
@@ -171,22 +176,26 @@ class TestConstants:
                 a1 = a2 = 0.0
             elif corner == "featureless-obs":
                 obs[:] = np.nan
+            elif corner == "alpha2-zero":
+                # a cell absent on both sides is 0 whichever scales multiply it
+                a1, a2 = 3.0, 0.0
+            elif corner == "alpha1-zero":
+                a1, a2 = 0.0, 3.0
             want = per_call_terms(ref, obs, a1, a2, gamma, p).tobytes()
-            constants = _kernels.cdm_constants(ref, np.isfinite(ref), a1, a2, gamma)
-            for layer in constants:
-                layer.setflags(write=False)  # shared constants are never written
+            constants = _kernels.cdm_constants(ref, a1, a2, gamma)
+            constants.filled.setflags(write=False)  # shared constants are never written
+            constants.observed.setflags(write=False)
             assert _kernels.cdm_cells(constants, obs, gamma, p).tobytes() == want
             work = np.full(ref.shape, np.nan)
             assert _kernels.cdm_cells(constants, obs, gamma, p, out=work) is work
             assert work.tobytes() == want
-            assert _kernels.cdm_terms(ref, obs, a1, a2, gamma, p).tobytes() == want
 
     def test_layers_hold_the_fill_and_both_scales(self):
         ref = np.array([[-50.0, np.nan], [np.nan, -70.0]])
-        constants = _kernels.cdm_constants(ref, np.isfinite(ref), 3.0, 2.0, GAMMA)
+        constants = _kernels.cdm_constants(ref, 3.0, 2.0, GAMMA)
         assert constants.filled.tolist() == [[-50.0, GAMMA], [GAMMA, -70.0]]
         assert constants.observed.tolist() == [[1.0, 3.0], [3.0, 1.0]]
-        assert constants.unobserved.tolist() == [[2.0, 3.0], [3.0, 2.0]]
+        assert constants.alpha2 == 2.0
 
 
 class TestSelection:

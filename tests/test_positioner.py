@@ -340,6 +340,14 @@ def fill_memo(rfm):
         rfm.remembered_row(("filler", i), lambda: (np.zeros(1),))
 
 
+def smoothed_by(estimates, queries):
+    """The locations a batch's searches need the spread layer at: every
+    weighted path point, and the whole path of an overlap fallback."""
+    return {p for est, obs in zip(estimates, queries)
+            for p in (est.path if est.tf is Termination.MAX and obs.features
+                      else est.path[:-1])}
+
+
 class TestQueryReuse:
     def test_each_searched_location_queried_once(self, rng, monkeypatch):
         asked = []
@@ -350,30 +358,31 @@ class TestQueryReuse:
             return query_arrays(self, loc)
 
         monkeypatch.setattr(ExtendedRfm, "query_arrays", counting_query)
+        # k = 1: every searched location is a reference point, so a cold memo never fills
         cfg = PositioningConfig(max_iterations=4)
         fallbacks = 0
         for _ in range(40):
             rfm = random_rfm(rng, n_points=int(rng.integers(2, 25)),
                              n_features=int(rng.integers(1, 7)),
                              density=0.5, sigma_range=(0.5, 6.0))
-            obs = make_fp({f: float(rng.uniform(-105, -40))
-                           for f in rfm.feature_ids if rng.random() < 0.6})
+            queries = [make_fp({f: float(rng.uniform(-105, -40))
+                                for f in rfm.feature_ids if rng.random() < 0.6}, fp_id=i)
+                       for i in range(5)]
+            asked.clear()
+            cold = locate_batch(queries, rfm, cfg)
+            needed = smoothed_by(cold, queries)
+            assert len(asked) == len(set(asked))  # each once across the whole batch
+            assert set(asked) == needed
+            fallbacks += sum(e.tf is Termination.MAX and bool(q.features)
+                             for e, q in zip(cold, queries))
             full = same_map(rfm)
             fill_memo(full)
-            results = []
-            for searched in (rfm, full):  # a cold memo, then a full one
-                asked.clear()
-                est = iterate_locate(obs, searched, cfg)
-                assert len(asked) == len(set(asked))
-                assert set(asked) <= set(est.path)
-                if est.tf is Termination.MAX and obs.features:
-                    assert set(asked) == set(est.path)  # the overlap rule saw every point
-                results.append(est)
-            fallbacks += results[0].tf is Termination.MAX and bool(obs.features)
             asked.clear()
-            results.append(iterate_locate(obs, rfm, cfg))
-            assert asked == []  # warm: the cold search left every row it needed
-            assert results[0] == results[1] == results[2]
+            assert locate_batch(queries, full, cfg) == cold
+            assert set(asked) == needed  # a full memo smooths path points, and only those
+            asked.clear()
+            assert locate_batch(queries, rfm, cfg) == cold
+            assert asked == []  # warm: the cold batch left every row it needed
         assert fallbacks > 0
 
 
@@ -481,11 +490,12 @@ class TestKernelConstants:
         keys = {(CFG.alpha1, CFG.alpha2, CFG.missing_value), (1.0, 1.0, CFG.missing_value)}
         assert set(rfm._constants) == keys
         for a1, a2, missing in keys:
-            want = _kernels.cdm_constants(rfm.values, np.isfinite(rfm.values), a1, a2, missing)
+            want = _kernels.cdm_constants(rfm.values, a1, a2, missing)
             kept = rfm._constants[(a1, a2, missing)]
-            for layer, fresh in zip(kept, want):
+            for layer, fresh in ((kept.filled, want.filled), (kept.observed, want.observed)):
                 assert not layer.flags.writeable
                 assert layer.tobytes() == fresh.tobytes()
+            assert kept.alpha2 == a2
 
     def test_keeps_at_most_a_fixed_number_of_settings(self, rng):
         rfm = random_rfm(rng, n_points=12, n_features=4, density=0.7, sigma_range=(0.5, 6.0))
@@ -507,7 +517,7 @@ class TestKernelConstants:
 
         def compute():
             time.sleep(1e-4)  # let the other threads run between lookup and insert
-            return _kernels.cdm_constants(rfm.values, rfm.present, 1.0, 1.0, -110.0)
+            return _kernels.cdm_constants(rfm.values, 1.0, 1.0, -110.0)
 
         def fill(_):
             start.wait(timeout=10)
@@ -590,10 +600,11 @@ class TestSearchSteps:
         # bit for bit, the constant of the feature outside the map included
         for obs, rfm, cfg in sparse_search_cases(rng, 40):
             obs_vec, outside = _aligned(obs, rfm, cfg)
-            cells = _kernels.cdm_terms(rfm.values, obs_vec, cfg.alpha1, cfg.alpha2,
-                                       cfg.missing_value, cfg.minkowski_p)
+            constants = _kernels.cdm_constants(rfm.values, cfg.alpha1, cfg.alpha2,
+                                               cfg.missing_value)
+            cells = _kernels.cdm_cells(constants, obs_vec, cfg.missing_value, cfg.minkowski_p)
             for here in iterate_locate(obs, rfm, cfg).path:
-                row = _weight_row(rfm, here, cfg, {})
+                row = _weight_row(rfm, here, cfg)
                 base = _outside_constant(outside, lambda _: row.min_weight, cfg.alpha1)
                 got = _kernels.cdm_reduce(cells, row.weights, base)
                 wv = softmax_weights(rfm.query(here), cfg.beta, cfg.weight_form)
