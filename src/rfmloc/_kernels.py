@@ -24,12 +24,6 @@ subtract, power and scale, and scales its unobserved columns by
 ``alpha2``. ``cdm_reduce`` applies one weight vector to the cells as a
 matrix-vector product. The iterative search changes only the weights,
 so it reduces the same cells once per iteration.
-
-``cdm_cells`` takes ``out``, a C-ordered float array shaped like the
-map to compute in and return, so a caller that keeps one allocates no
-array of that size per call. Allocated and freed once per search,
-arrays that large were handed back to the operating system and
-page-faulted in again each time, most of all on worker threads.
 """
 
 from __future__ import annotations
@@ -62,13 +56,12 @@ def cdm_constants(ref: np.ndarray, alpha1: float, alpha2: float,
                         np.where(present, 1.0, alpha1), alpha2)
 
 
-def cdm_cells(constants: CdmConstants, obs: np.ndarray, missing_value: float, p: float,
-              out: np.ndarray | None = None) -> np.ndarray:
+def cdm_cells(constants: CdmConstants, obs: np.ndarray, missing_value: float,
+              p: float) -> np.ndarray:
     """Per-cell scale times |obs - ref| ** p, with absent values read as
-    ``missing_value``; computed in ``out`` when given."""
+    ``missing_value``, in a new array shaped like the map."""
     obs_present = np.isfinite(obs)
-    cells = feature_distance(np.where(obs_present, obs, missing_value), constants.filled, p,
-                             out=np.empty(constants.filled.shape) if out is None else out)
+    cells = feature_distance(np.where(obs_present, obs, missing_value), constants.filled, p)
     np.multiply(cells, constants.observed, out=cells)
     if not obs_present.all():
         # (t * 1) * alpha2 rounds as t * alpha2; a cell absent on both sides stays 0

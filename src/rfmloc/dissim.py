@@ -39,25 +39,15 @@ class WeightVector:
         return self.weights.get(feature, self.min_weight)
 
 
-def feature_distance(v1: float, v2: float, p: float = 2.0, out=None) -> float:
-    """Single-feature Minkowski contribution |v1 - v2| ** p, no root.
-
-    With ``out`` the same operations run elementwise in that array, which
-    may be one of the operands.
-    """
+def feature_distance(v1: float, v2: float, p: float = 2.0) -> float:
+    """Single-feature Minkowski contribution |v1 - v2| ** p, no root;
+    elementwise, in a new array, when an operand is an array."""
     if p < 1:
         raise ValueError("the Minkowski order must be at least 1")
-    if out is None:
-        if p == 2.0:
-            d = v1 - v2
-            return d * d
-        return abs(v1 - v2) ** p
-    d = np.subtract(v1, v2, out=out)
     if p == 2.0:
-        return np.multiply(d, d, out=d)
-    np.absolute(d, out=d)
-    d **= p
-    return d
+        d = v1 - v2
+        return d * d
+    return abs(v1 - v2) ** p
 
 
 def softmax_row(sigmas: np.ndarray, features: np.ndarray, n_features: int, beta: float,

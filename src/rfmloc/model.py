@@ -414,7 +414,7 @@ class ExtendedRfm:
         if bad.size:
             j, f = bad[0]
             raise ValueError(f"sigma of feature {feature_ids[f]!r} at reference point {j} "
-                             f"is {sigmas[j, f]!r}; every sigma must be finite and > 0")
+                             f"is {float(sigmas[j, f])!r}; every sigma must be finite and > 0")
         entry_counts = present.sum(axis=1)
         for arr in (locations, values, sigmas, present, entry_counts):
             arr.setflags(write=False)
@@ -604,8 +604,9 @@ class ExtendedRfm:
         return read_document(path, cls.from_json, "reference map")
 
 
-# What a parser raises on malformed input; readers turn it into a DataError.
-_PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+# What a parser raises on malformed input, too deeply nested JSON included;
+# readers turn it into a DataError.
+_PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 
 
 def read_lines(path, parse, *, numbered: bool = False) -> list:

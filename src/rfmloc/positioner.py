@@ -18,7 +18,6 @@ matches the observation.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import combinations
@@ -35,33 +34,15 @@ from rfmloc.model import (ExtendedRfm, FeatureId, Fingerprint, Location,
                           PositionEstimate, PositioningConfig, Termination)
 
 
-_work = threading.local()
-
-
-def _work_array(rfm: ExtendedRfm) -> np.ndarray:
-    """The calling thread's kernel work array, shaped like the map.
-
-    Kept per thread, so that no search or iteration allocates a map-sized
-    array, and reused by every comparison with a map of that shape: one
-    search holds it from its first lookup to its end, and nothing else
-    runs on the thread in between.
-    """
-    array = getattr(_work, "array", None)
-    if array is None or array.shape != rfm.values.shape:
-        array = _work.array = np.empty(rfm.values.shape)
-    return array
-
-
 def _cells(obs_vec: np.ndarray, rfm: ExtendedRfm, cfg: PositioningConfig) -> np.ndarray:
-    """The weight-free cells of ``obs_vec`` against ``rfm``, in the calling
-    thread's work array, from the constants the map keeps for ``cfg``'s
-    scales."""
+    """The weight-free cells of ``obs_vec`` against ``rfm``, in a new array
+    that belongs to the caller, from the constants the map keeps for
+    ``cfg``'s scales."""
     def compute() -> _kernels.CdmConstants:
         return _kernels.cdm_constants(rfm.values, cfg.alpha1, cfg.alpha2, cfg.missing_value)
 
     constants = rfm.remembered_constants((cfg.alpha1, cfg.alpha2, cfg.missing_value), compute)
-    return _kernels.cdm_cells(constants, obs_vec, cfg.missing_value, cfg.minkowski_p,
-                              out=_work_array(rfm))
+    return _kernels.cdm_cells(constants, obs_vec, cfg.missing_value, cfg.minkowski_p)
 
 
 class InsufficientPoints(ValueError):

@@ -185,6 +185,7 @@ class TestLocate:
         err = capsys.readouterr().err
         assert f"error: {bad}: invalid reference map:" in err
         assert "sigma" in err
+        assert "is 0.0;" in err  # a plain float, not a numpy repr
 
     @pytest.mark.parametrize("field, literal", [("v", "Infinity"), ("sigma", "NaN")])
     def test_non_finite_map_entry_exits_1(self, workdir, tmp_path, capsys, field, literal):
@@ -368,6 +369,14 @@ def _ff_on_line_2(src, dst):
     return dst
 
 
+def _deep_on_line_2(src, dst):
+    """Copy ``src`` to ``dst`` with line 2 replaced by 100 000 nested JSON arrays."""
+    lines = src.read_bytes().split(b"\n")
+    lines[1] = b"[" * 100_000
+    dst.write_bytes(b"\n".join(lines))
+    return dst
+
+
 def _bad_input(case, workdir, scored, tmp):
     """argv of one malformed or unreadable input case, the stderr prefix it
     must produce, and a phrase the message must hold (or None)."""
@@ -429,6 +438,10 @@ def _bad_input(case, workdir, scored, tmp):
                                               *lines[3:]]))
         return tmp / "e.jsonl"
 
+    def deep_map():
+        (tmp / "map.json").write_bytes(b"[" * 100_000)
+        return tmp / "map.json"
+
     def ok_config():
         (tmp / "ok.cfg").write_text("radius = 3.0\n")
         return tmp / "ok.cfg"
@@ -477,6 +490,14 @@ def _bad_input(case, workdir, scored, tmp):
                                  f"{tmp / 'e.jsonl'}:2: ", None),
         "ff-config": lambda: (build("--config", str(bad_config())), f"{tmp / 'b.cfg'}:2: ",
                               None),
+        "deep-survey": lambda: (build(raw=_deep_on_line_2(raw, tmp / "raw.jsonl")),
+                                f"{tmp / 'raw.jsonl'}:2: ", "recursion"),
+        "deep-map": lambda: (locate(rfm=deep_map()),
+                             f"{tmp / 'map.json'}: invalid reference map: ", "recursion"),
+        "deep-query": lambda: (locate(obs=_deep_on_line_2(obs, tmp / "q.jsonl")),
+                               f"{tmp / 'q.jsonl'}:2: ", "recursion"),
+        "deep-estimates": lambda: (evaluate(estimates=_deep_on_line_2(knn, tmp / "e.jsonl")),
+                                   f"{tmp / 'e.jsonl'}:2: ", "recursion"),
         "int-overflow-survey": lambda: (build(raw=huge_value_survey()),
                                         f"{tmp / 'raw.jsonl'}:2: ", None),
         "report-reversed": lambda: (["report", "--runs", str(reversed_runs())],
@@ -535,6 +556,7 @@ def _bad_input(case, workdir, scored, tmp):
 @pytest.mark.parametrize("case", [
     "missing-raw", "missing-rfm", "missing-obs", "missing-config", "missing-truth",
     "out-in-missing-dir", "ff-survey", "ff-query", "ff-estimates", "ff-config",
+    "deep-survey", "deep-map", "deep-query", "deep-estimates",
     "int-overflow-survey", "report-reversed", "nan-bandwidth", "nan-beta",
     "nan-converge-tol", "n-aps-0", "map-id-not-string", "map-v-true", "map-id-twice",
     "map-x-string", "map-y-true", "estimates-blank-lines", "config-ok-flag-nan",

@@ -31,17 +31,6 @@ class TestFeatureDistance:
         with pytest.raises(ValueError):
             feature_distance(0.0, 1.0, p=0.5)
 
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-    def test_in_an_out_array_bit_for_bit(self, p):
-        rng = np.random.default_rng(3)
-        v1 = rng.uniform(-105.0, -40.0, size=6)
-        v2 = rng.uniform(-105.0, -40.0, size=(5, 6))
-        want = feature_distance(v1, v2, p)
-        out = v2.copy()  # the out array may be an operand
-        got = feature_distance(v1, out, p, out=out)
-        assert got is out
-        assert np.array_equal(got, want)
-
 
 class TestWeightedCdm:
     def test_hand_oracle_with_all_three_terms(self):

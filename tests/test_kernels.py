@@ -74,9 +74,9 @@ class TestNumpyBackend:
         assert got[0] == pytest.approx(expected, rel=1e-12)
 
 
-def cells_of(ref, obs, a1, a2, gamma, p, out=None):
+def cells_of(ref, obs, a1, a2, gamma, p):
     """The weight-free cells with the constants of ``ref`` computed for this call."""
-    return _kernels.cdm_cells(_kernels.cdm_constants(ref, a1, a2, gamma), obs, gamma, p, out)
+    return _kernels.cdm_cells(_kernels.cdm_constants(ref, a1, a2, gamma), obs, gamma, p)
 
 
 def one_pass(ref, obs, weights, a1, a2, gamma, p, base):
@@ -111,21 +111,6 @@ class TestStages:
             assert reweighted == pytest.approx(one_pass(ref, obs, other, a1, a2, gamma, p, base),
                                                rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-    def test_work_arrays_change_no_bit(self, rng, p):
-        for _ in range(40):
-            case = random_case(rng, p=p)
-            ref, obs, weights, a1, a2, gamma, p, base = case
-            # whatever an earlier call left in the work array is overwritten
-            work = rng.uniform(-1e3, 1e3, size=ref.shape)
-            work[0, 0] = work[-1, -1] = np.nan
-            cells = cells_of(ref, obs, a1, a2, gamma, p, out=work)
-            assert cells is work
-            fresh = cells_of(ref, obs, a1, a2, gamma, p)
-            assert np.array_equal(cells, fresh)
-            assert np.array_equal(_kernels.cdm_reduce(cells, weights, base),
-                                  _kernels.cdm_batch(*case))
-
     @pytest.mark.parametrize("shape", [(7, 3), (906, 24), (1849, 40)])
     def test_reduce_ignores_alignment_and_thread(self, rng, shape):
         # threaded batches must equal per-query runs, whichever buffer a
@@ -159,7 +144,7 @@ def per_call_terms(ref, obs, a1, a2, gamma, p):
     np.putmask(scale, ref_present, np.where(obs_present, 1.0, a2))
     terms[...] = gamma
     np.putmask(terms, ref_present, ref)
-    feature_distance(np.where(obs_present, obs, gamma), terms, p, out=terms)
+    terms = feature_distance(np.where(obs_present, obs, gamma), terms, p)
     return np.multiply(scale, terms, out=scale)
 
 
@@ -186,9 +171,6 @@ class TestConstants:
             constants.filled.setflags(write=False)  # shared constants are never written
             constants.observed.setflags(write=False)
             assert _kernels.cdm_cells(constants, obs, gamma, p).tobytes() == want
-            work = np.full(ref.shape, np.nan)
-            assert _kernels.cdm_cells(constants, obs, gamma, p, out=work) is work
-            assert work.tobytes() == want
 
     def test_layers_hold_the_fill_and_both_scales(self):
         ref = np.array([[-50.0, np.nan], [np.nan, -70.0]])

@@ -330,9 +330,11 @@ class TestQueryOracle:
 class TestExtendedRfmValidation:
     @pytest.mark.parametrize("bad", [0.0, -1.5])
     def test_rejects_non_positive_sigma(self, bad):
-        with pytest.raises(ValueError, match="sigma"):
+        with pytest.raises(ValueError) as err:
             make_rfm([[0.0, 0.0], [1.0, 0.0]], ["a", "b"],
                      [[-60.0, -61.0], [-62.0, np.nan]], [[0.5, 1.0], [bad, np.nan]])
+        # the value reads as a plain float, not as a numpy repr
+        assert f"feature 'a' at reference point 1 is {bad}; every sigma" in str(err.value)
 
     def test_from_json_rejects_empty_points(self):
         text = json.dumps({"config": BuilderConfig().to_dict(), "points": []})

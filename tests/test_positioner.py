@@ -17,8 +17,8 @@ from rfmloc.dissim import WeightVector, mji, softmax_weights, weighted_cdm
 from rfmloc.model import (KEPT_CONSTANTS, ExtendedRfm, Fingerprint, Location,
                           PositioningConfig, RfmEntry, Termination, estimate_to_obj)
 from rfmloc import _kernels
-from rfmloc.positioner import (InsufficientPoints, _aligned, _extract_loop, _k_smallest,
-                               _outside_constant, _weight_row, _work_array, detect_termination,
+from rfmloc.positioner import (InsufficientPoints, _aligned, _cells, _extract_loop,
+                               _k_smallest, _outside_constant, _weight_row, detect_termination,
                                dissimilarities, initial_location, iterate_locate, knn_locate,
                                locate_batch, mcd_center, resolve_state)
 from tests.conftest import make_fp, make_rfm, random_rfm
@@ -533,6 +533,19 @@ class TestKernelConstants:
             sys.setswitchinterval(interval)
         assert all(value is rfm._constants["key"] for value in got)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_each_comparison_owns_its_cells(self, rng, p):
+        rfm = random_rfm(rng, n_points=15, n_features=5, density=0.6, sigma_range=(0.5, 6.0))
+        cfg = replace(CFG, minkowski_p=p)
+        first_obs, second_obs = rng.uniform(-105, -40, size=(2, len(rfm.feature_ids)))
+        first_obs[1] = second_obs[3] = np.nan
+        first = _cells(first_obs, rfm, cfg)
+        kept = first.copy()
+        second = _cells(second_obs, rfm, cfg)  # the same thread, map and scales
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
+        assert second.tobytes() != kept.tobytes()
+
     def test_alternating_methods_on_one_map_match_a_map_per_method(self, rng):
         rfm = random_rfm(rng, n_points=25, n_features=6, density=0.6, sigma_range=(0.5, 6.0))
         queries = [make_fp({f: float(rng.uniform(-105, -40))
@@ -643,29 +656,6 @@ class TestKSmallest:
             order = np.argsort(d, kind="stable")
             for k in range(1, len(d) + 1):
                 assert np.array_equal(_k_smallest(d, k), order[:k])
-
-
-class TestWorkArrays:
-    def test_kept_per_thread_and_map_shape(self, rng):
-        small = random_rfm(rng, n_points=6, n_features=3, density=0.7, sigma_range=(0.5, 4.0))
-        large = random_rfm(rng, n_points=9, n_features=5, density=0.7, sigma_range=(0.5, 4.0))
-        mine = _work_array(small)
-        assert _work_array(small) is mine
-        assert mine.shape == small.values.shape
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            theirs = pool.submit(_work_array, small).result()
-        assert not np.shares_memory(mine, theirs)
-        assert _work_array(large).shape == large.values.shape
-
-    def test_stale_contents_change_no_result(self, rng):
-        for obs, rfm, cfg in sparse_search_cases(rng, 16):
-            results = []
-            for junk in (np.nan, 1e300, -0.0):
-                _work_array(rfm).fill(junk)
-                est = iterate_locate(obs, rfm, cfg)
-                _work_array(rfm).fill(junk)
-                results.append((est, dissimilarities(obs, rfm, cfg).tolist()))
-            assert results[0] == results[1] == results[2]
 
 
 class TestLocateBatch:
