@@ -138,6 +138,9 @@ def _cmd_locate(args) -> int:
                                  threads=args.threads)
     except EmptyComparison as exc:
         raise DataError(str(exc), source=args.obs) from None
+    except OverflowError:
+        raise DataError(f"a feature distance overflows at minkowski_p = {cfg.minkowski_p}",
+                        source=args.obs) from None
     write_estimates(args.out, estimates)
     print(f"located {len(estimates)} queries ({args.method}) into {args.out}")
     return 0

@@ -321,14 +321,14 @@ def gaussian_nw(values, distances, bandwidth: float) -> float:
 
 
 def nearest_carriers_nw(d: np.ndarray, present: np.ndarray, layers: Sequence[np.ndarray],
-                        ks: int, bandwidth: float, cutoff: float | None):
+                        ks: int, bandwidth: float, cutoff: float):
     """Gaussian kernel smoothing of every feature at one location, all at once.
 
     ``d`` holds the distance from the location to each of n points,
     ``present`` is the (n, features) carrier mask and ``layers`` are
     (n, features) arrays that share it. Per feature the support is the
-    nearest ``ks`` carriers with ``d <= cutoff`` (no range limit when
-    ``cutoff`` is None), distance ties going to the lower point index.
+    nearest ``ks`` carriers with ``d <= cutoff`` (``math.inf`` for no
+    range limit), distance ties going to the lower point index.
     Returns the indices of the features with a non-empty support, in
     ascending order, and a (len(layers), len(features)) array holding
     :func:`gaussian_nw` of each layer over that support.
@@ -338,13 +338,8 @@ def nearest_carriers_nw(d: np.ndarray, present: np.ndarray, layers: Sequence[np.
     sum has the length of the scalar call and numpy's pairwise summation
     adds in the same order.
     """
-    if cutoff is None:
-        order = np.argsort(d, kind="stable")
-    else:
-        within = np.flatnonzero(d <= cutoff)
-        order = within[np.argsort(d[within], kind="stable")]
-    if order.size == 0:
-        return np.empty(0, dtype=np.intp), np.empty((len(layers), 0))
+    within = np.flatnonzero(d <= cutoff)
+    order = within[np.argsort(d[within], kind="stable")]
     carried = present[order]
     # per feature, the positions in ``order`` of its carriers come first
     ranked = np.argsort(~carried, axis=0, kind="stable")
@@ -352,25 +347,17 @@ def nearest_carriers_nw(d: np.ndarray, present: np.ndarray, layers: Sequence[np.
     out_features = np.flatnonzero(counts)
     estimates = np.empty((len(layers), out_features.size))
     sizes = counts[out_features]
-    n_features = present.shape[1]
-    # Gathers index flat (1-D) arrays and writes go to one row at a time:
-    # numpy releases the GIL for every take and every 2-D fancy index,
-    # however small, and per group those hand-offs stall threaded callers.
-    ranked_flat = ranked.ravel()
-    offsets = n_features * np.arange(min(ks, order.size))  # of each rank's row in ranked_flat
-    flat_layers = [layer.ravel() for layer in layers]
     for size in set(sizes.tolist()):
         group = sizes == size
         feats = out_features[group]
-        support = order[ranked_flat[feats[:, None] + offsets[:size]]]
+        support = order[ranked[:size, feats].T]
         u = d[support] / bandwidth
         logw = -0.5 * u * u
         # supports run nearest first, so column 0 holds each row's largest log-weight
         w = np.exp(logw - logw[:, :1])
         wsum = w.sum(axis=1)
-        cells = support * n_features + feats[:, None]
-        for row, flat in zip(estimates, flat_layers):
-            row[group] = (w * flat[cells]).sum(axis=1) / wsum
+        for row, layer in zip(estimates, layers):
+            row[group] = (w * layer[support, feats[:, None]]).sum(axis=1) / wsum
     return out_features, estimates
 
 
@@ -505,7 +492,7 @@ class ExtendedRfm:
                                                          3.0 * h)
         if features.size == 0:
             features, (values, sigmas) = nearest_carriers_nw(d, self._present, layers, ks, h,
-                                                             None)
+                                                             math.inf)
         return features, values, sigmas
 
     def query(self, loc: Location) -> list[RfmEntry]:

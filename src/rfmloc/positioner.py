@@ -120,8 +120,8 @@ def _k_smallest(d: np.ndarray, k: int) -> np.ndarray:
     Only the values not above the k-th smallest are sorted. They are taken
     in index order, so the stable sort keeps their ties by index. A NaN
     k-th value (fewer than k numbers) takes the full sort, which puts NaN
-    last. Every numpy call here releases the GIL and costs threaded
-    batches a hand-off, so k = 1, the default, is one argmin.
+    last. k = 1, the default, is one argmin, also the fastest answer on
+    one thread.
     """
     if k == 1:
         best = d.argmin()  # the first minimum, or the first NaN
@@ -312,20 +312,14 @@ def resolve_state(state: Termination, path: Sequence[Location],
     # up per path point
     index = rfm.feature_index
     obs_attrs = frozenset(index.get(a, a) for a in obs.features)
-    best_score = -1.0
-    best_index = 0
-    for i, p in enumerate(path):
-        # a featureless observation gives every point the same (undefined)
-        # overlap; keep the earliest rather than raising
-        if obs_attrs:
-            score = mji(obs_attrs, frozenset(_weight_row(rfm, p, cfg).features.tolist()))
-        else:
-            score = 0.0
-        if score > best_score:
-            best_score = score
-            best_index = i
-    return PositionEstimate(path[best_index], Termination.MAX, iterations, path,
-                            kept_loop, obs.id)
+
+    def overlap(p: Location) -> float:
+        return mji(obs_attrs, frozenset(_weight_row(rfm, p, cfg).features.tolist()))
+
+    # max keeps the first of equal overlaps; a featureless observation's
+    # overlap is undefined everywhere, so it keeps the first point
+    best = max(path, key=overlap) if obs_attrs else path[0]
+    return PositionEstimate(best, Termination.MAX, iterations, path, kept_loop, obs.id)
 
 
 def iterate_locate(obs: Fingerprint, rfm: ExtendedRfm,

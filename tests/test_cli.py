@@ -468,6 +468,14 @@ def _bad_input(case, workdir, scored, tmp):
         (runs / f"{stem}.jsonl").write_bytes(knn.read_bytes())
         return runs
 
+    def unseen_feature_query():
+        # a feature the map never saw: its distance to the missing value is 1110 dB
+        lines = obs.read_text().splitlines(keepends=True)
+        record = json.loads(lines[0])
+        record["features"]["zz:unseen"] = 1000.0
+        (tmp / "q.jsonl").write_text(json.dumps(record) + "\n")
+        return tmp / "q.jsonl"
+
     def bad_config_block(key, value):
         obj = json.loads(rfm.read_text())
         obj["config"][key] = value
@@ -549,6 +557,11 @@ def _bad_input(case, workdir, scored, tmp):
         "report-run-name-comma": lambda: (["report", "--runs", str(run_named("knn,k1"))],
                                           f"{tmp / 'runs' / 'knn,k1.jsonl'}: ",
                                           "cannot name a run 'knn,k1'"),
+        "overflow-iterative": lambda: (
+            locate("--minkowski-p", "120", "--method", "iterative", obs=unseen_feature_query()),
+            f"{tmp / 'q.jsonl'}: ", "minkowski_p"),
+        "overflow-knn": lambda: (locate("--minkowski-p", "120", obs=unseen_feature_query()),
+                                 f"{tmp / 'q.jsonl'}: ", "minkowski_p"),
     }
     return cases[case]()
 
@@ -561,7 +574,8 @@ def _bad_input(case, workdir, scored, tmp):
     "nan-converge-tol", "n-aps-0", "map-id-not-string", "map-v-true", "map-id-twice",
     "map-x-string", "map-y-true", "estimates-blank-lines", "config-ok-flag-nan",
     "estimates-empty-path", "report-empty-path", "survey-x-true", "estimates-iterations-float",
-    "map-config-radius-string", "report-run-named-opt", "report-run-name-comma"])
+    "map-config-radius-string", "report-run-named-opt", "report-run-name-comma",
+    "overflow-iterative", "overflow-knn"])
 def test_bad_input_exits_1_with_one_error_line(workdir, scored, tmp_path, capsys, case):
     argv, prefix, phrase = _bad_input(case, workdir, scored, tmp_path)
     assert run(argv) == 1

@@ -326,6 +326,17 @@ class TestQueryOracle:
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_no_point_in_range(self, rng, n_layers):
+        rfm = random_rfm(rng, n_points=20, n_features=5, extent=10.0, density=0.6,
+                         sigma_range=(0.5, 6.0))
+        d = rng.uniform(3.5, 8.0, size=rfm.n_points)
+        layers = (rfm.values, rfm.sigmas)[:n_layers]
+        features, estimates = nearest_carriers_nw(d, np.isfinite(rfm.values), layers, 3, 1.0,
+                                                  3.0)
+        assert features.dtype == np.intp and features.shape == (0,)
+        assert estimates.dtype == np.float64 and estimates.shape == (n_layers, 0)
+
 
 class TestExtendedRfmValidation:
     @pytest.mark.parametrize("bad", [0.0, -1.5])
