@@ -5,10 +5,9 @@ from rfmloc.dissim import WeightVector, feature_distance, mji, softmax_weights, 
 from rfmloc.evaluate import circular_error, compare_report, ecdf, loop_diameters, opt_errors, radial_errors, tf_stats
 from rfmloc.model import (ExtendedRfm, FeatureId, Fingerprint, Location,
                           PositionEstimate, PositioningConfig, RawRfm, Rect,
-                          RfmEntry, Termination, attributes)
-from rfmloc.positioner import (detect_termination, initial_location,
-                               iterate_locate, knn_locate, locate_batch,
-                               mcd_center, resolve_state)
+                          RfmEntry, Termination)
+from rfmloc.positioner import (detect_termination, iterate_locate, knn_locate,
+                               locate_batch, mcd_center, resolve_state)
 from rfmloc.synth import (AccessPoint, SurveyPlan, SyntheticEnvironment,
                           expected_rss, generate_dataset, make_environment,
                           sample_fingerprint)
@@ -19,9 +18,9 @@ __all__ = [
     "AccessPoint", "BuilderConfig", "ExtendedRfm", "FeatureId", "Fingerprint",
     "Location", "Neighborhood", "PositionEstimate", "PositioningConfig",
     "RawRfm", "Rect", "RfmEntry", "SurveyPlan", "SyntheticEnvironment",
-    "Termination", "WeightVector", "attributes", "build", "circular_error",
+    "Termination", "WeightVector", "build", "circular_error",
     "compare_report", "detect_termination", "ecdf", "estimate_std",
-    "expected_rss", "feature_distance", "generate_dataset", "initial_location",
+    "expected_rss", "feature_distance", "generate_dataset",
     "iterate_locate", "kernel_smooth", "knn_locate", "locate_batch",
     "loop_diameters", "make_environment", "mcd_center", "mji", "neighborhood",
     "opt_errors", "radial_errors", "resolve_state",

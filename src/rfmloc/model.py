@@ -23,10 +23,6 @@ import numpy as np
 
 FeatureId = str
 
-# Scale settings whose map-sized kernel constants a map keeps: a locate run
-# uses two, its configured scales and kNN's.
-KEPT_CONSTANTS = 4
-
 # The Python type of each config dataclass field, by its annotation.
 _FIELD_TYPES = {"int": int, "float": float, "str": str}
 # The JSON value types a field of each type accepts; a bool is never a number.
@@ -128,11 +124,6 @@ class Fingerprint:
                 raise ValueError("feature ids must be non-empty strings")
             if not math.isfinite(value):
                 raise ValueError(f"feature {key!r} has a non-finite value")
-
-
-def attributes(fp: Fingerprint) -> frozenset[FeatureId]:
-    """The set of features the fingerprint actually measured."""
-    return frozenset(fp.features)
 
 
 @dataclass(frozen=True)
@@ -368,14 +359,14 @@ class ExtendedRfm:
     and a robust spread estimate. Between reference points the layers are
     represented continuously by Gaussian kernel smoothing, so any location
     in the region can be queried. The layers are immutable; the backing
-    arrays are marked read-only so they can be shared across threads.
+    arrays are marked read-only so they can be shared across threads, as
+    are the indices of the absent cells, which the dissimilarity kernel
+    reads.
 
-    The one mutable part is a bounded memo of values derived from the
-    layers: rows at searched locations (:meth:`remembered_row`), at most
-    ``n_points`` of them, and the kernel's map-sized constants per scale
-    setting (:meth:`remembered_constants`), at most ``KEPT_CONSTANTS``
-    settings. Every search shares it, and no search keeps a copy. It keeps
-    each value for the life of the map and changes no result.
+    The one mutable part is a bounded memo of rows derived from the
+    layers at searched locations (:meth:`remembered_row`), at most
+    ``n_points`` of them. Every search shares it, and no search keeps a
+    copy. It keeps each row for the life of the map and changes no result.
     """
 
     def __init__(self, locations, feature_ids: Sequence[FeatureId], values, sigmas,
@@ -403,7 +394,9 @@ class ExtendedRfm:
             raise ValueError(f"sigma of feature {feature_ids[f]!r} at reference point {j} "
                              f"is {float(sigmas[j, f])!r}; every sigma must be finite and > 0")
         entry_counts = present.sum(axis=1)
-        for arr in (locations, values, sigmas, present, entry_counts):
+        absent = np.flatnonzero(~present)
+        absent_columns = absent % f
+        for arr in (locations, values, sigmas, present, entry_counts, absent, absent_columns):
             arr.setflags(write=False)
         self._locations = locations
         self._feature_ids = tuple(feature_ids)
@@ -414,9 +407,10 @@ class ExtendedRfm:
         self._sigmas = sigmas
         self._present = present
         self._entry_counts = entry_counts
+        self._absent = absent
+        self._absent_columns = absent_columns
         self._config = builder_config
         self._rows: dict = {}
-        self._constants: dict = {}
         self._memo_lock = threading.Lock()
 
     @property
@@ -449,6 +443,16 @@ class ExtendedRfm:
     @property
     def entry_counts(self) -> np.ndarray:
         return self._entry_counts
+
+    @property
+    def absent_cells(self) -> np.ndarray:
+        """Flat indices of the value layer's NaN cells, ascending, read-only."""
+        return self._absent
+
+    @property
+    def absent_columns(self) -> np.ndarray:
+        """The feature column of each of :attr:`absent_cells`, read-only."""
+        return self._absent_columns
 
     @property
     def builder_config(self) -> BuilderConfig:
@@ -511,26 +515,16 @@ class ExtendedRfm:
         ``compute`` must depend on ``key`` and the map alone, and its
         arrays are made read-only, since every later caller shares them.
         """
-        return self._remembered(self._rows, self.n_points, key, compute)
-
-    def remembered_constants(self, key: Hashable, compute: Callable[[], tuple]) -> tuple:
-        """:meth:`remembered_row` for map-sized values, such as the
-        kernel's constants for one scale setting: at most
-        ``KEPT_CONSTANTS`` keys are kept."""
-        return self._remembered(self._constants, KEPT_CONSTANTS, key, compute)
-
-    def _remembered(self, memo: dict, cap: int, key: Hashable,
-                    compute: Callable[[], tuple]) -> tuple:
-        value = memo.get(key)
-        if value is None:
-            value = compute()
-            for part in value:
+        row = self._rows.get(key)
+        if row is None:
+            row = compute()
+            for part in row:
                 if isinstance(part, np.ndarray):
                     part.setflags(write=False)
             with self._memo_lock:
-                if key in memo or len(memo) < cap:
-                    value = memo.setdefault(key, value)
-        return value
+                if key in self._rows or len(self._rows) < self.n_points:
+                    row = self._rows.setdefault(key, row)
+        return row
 
     def to_json(self) -> str:
         fids = self._feature_ids

@@ -5,14 +5,21 @@ dissimilarity and averages the best k locations. ``iterate_locate`` runs
 the same weighted lookup as a fixed point search: the spread layer at the
 previous estimate yields fresh softmax weights for the next lookup, until
 the estimate converges, revisits an earlier one (a loop), or the iteration
-budget runs out. A search computes the weight-free dissimilarity cells
-of its observation once, from kernel constants the map keeps per scale
-setting, and only re-weights them, for its kNN start and each iteration.
-The weights at a location, and its feature set for the fallback below,
-come from the map's memo of weight rows, which every search shares.
-Tight loops resolve to a robust center of the cycle; everything else
-falls back to the searched location whose expected feature set best
-matches the observation.
+budget runs out. A search compares its observation with the map's value
+layer once, into weight-free dissimilarity cells, and only re-weights
+them, for its kNN start and each iteration. The weights at a location,
+and its feature set for the fallback below, come from the map's memo of
+weight rows, which every search shares. Tight loops resolve to a robust
+center of the cycle; everything else falls back to the searched location
+whose expected feature set best matches the observation.
+
+A lookup ranks finite values only, and raises ``OverflowError`` rather
+than rank what overflowed. A feature distance too large for a float (a
+large Minkowski order, or a huge value) leaves a non-finite value in the
+unweighted dissimilarities, which every search checks in full. After that
+a weighting can overflow only in a sum of finite terms, which is caught
+when it is among the k smallest values; above them it ranks last, where
+its true value belongs.
 """
 
 from __future__ import annotations
@@ -36,13 +43,9 @@ from rfmloc.model import (ExtendedRfm, FeatureId, Fingerprint, Location,
 
 def _cells(obs_vec: np.ndarray, rfm: ExtendedRfm, cfg: PositioningConfig) -> np.ndarray:
     """The weight-free cells of ``obs_vec`` against ``rfm``, in a new array
-    that belongs to the caller, from the constants the map keeps for
-    ``cfg``'s scales."""
-    def compute() -> _kernels.CdmConstants:
-        return _kernels.cdm_constants(rfm.values, cfg.alpha1, cfg.alpha2, cfg.missing_value)
-
-    constants = rfm.remembered_constants((cfg.alpha1, cfg.alpha2, cfg.missing_value), compute)
-    return _kernels.cdm_cells(constants, obs_vec, cfg.missing_value, cfg.minkowski_p)
+    that belongs to the caller."""
+    return _kernels.cdm_cells(rfm.values, rfm.absent_cells, rfm.absent_columns, obs_vec,
+                              cfg.alpha1, cfg.alpha2, cfg.missing_value, cfg.minkowski_p)
 
 
 class InsufficientPoints(ValueError):
@@ -134,8 +137,17 @@ def _k_smallest(d: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(d[candidates], kind="stable")[:k]]
 
 
+def _finite(d: np.ndarray) -> np.ndarray:
+    """``d``, if every value is finite."""
+    if not np.isfinite(d).all():
+        raise OverflowError("a dissimilarity overflows: not every value is finite")
+    return d
+
+
 def _nearest(d: np.ndarray, rfm: ExtendedRfm, k: int) -> Location:
     best = _k_smallest(d, min(k, rfm.n_points))
+    if not math.isfinite(d[best[-1]]):  # the largest of the k, NaN sorting last
+        raise OverflowError("a dissimilarity overflows: one of the k smallest is not finite")
     if best.size == 1:  # the mean of one point, without a numpy call
         return rfm.location_at(int(best[0]))
     x, y = rfm.locations[best].mean(axis=0)
@@ -149,25 +161,17 @@ def knn_locate(obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig,
     Without a weight vector every feature weighs 1. Ties rank by lower
     reference index.
     """
-    return _nearest(dissimilarities(obs, rfm, cfg, wv), rfm, cfg.k)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected, not warned about
+        d = dissimilarities(obs, rfm, cfg, wv)
+    return _nearest(_finite(d), rfm, cfg.k)
 
 
 def _random_start(obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig) -> Location:
+    """A reference location drawn uniformly from a stream seeded by
+    (init_seed, query id), so it depends on neither batch order nor
+    thread count."""
     rng = np.random.default_rng([cfg.init_seed & 0x7FFFFFFF, abs(obs.id)])
     return rfm.location_at(int(rng.integers(rfm.n_points)))
-
-
-def initial_location(obs: Fingerprint, rfm: ExtendedRfm,
-                     cfg: PositioningConfig) -> Location:
-    """Starting point of the iteration.
-
-    ``knn`` starts from the unweighted lookup. ``random`` draws a
-    reference location uniformly from a stream seeded by (init_seed,
-    query id), so results do not depend on batch order or thread count.
-    """
-    if cfg.init_mode == "knn":
-        return knn_locate(obs, rfm, cfg, None)
-    return _random_start(obs, rfm, cfg)
 
 
 def detect_termination(estimates: Sequence[Location],
@@ -334,28 +338,32 @@ def iterate_locate(obs: Fingerprint, rfm: ExtendedRfm,
     only at searched locations whose weights the map does not remember.
     """
     obs_vec, outside = _aligned(obs, rfm, cfg)
-    cells = _cells(obs_vec, rfm, cfg)
 
-    def lookup(weights: np.ndarray, min_weight: float) -> Location:
+    def weighted(weights: np.ndarray, min_weight: float) -> np.ndarray:
         # a weight row gives every feature outside the universe its min weight
         base = _outside_constant(outside, lambda _: min_weight, cfg.alpha1)
-        return _nearest(_kernels.cdm_reduce(cells, weights, base), rfm, cfg.k)
+        return _kernels.cdm_reduce(cells, weights, base)
 
-    if cfg.init_mode == "knn":  # initial_location, on this search's cells
-        start = lookup(np.ones(len(rfm.feature_ids)), 1.0)
-    else:
-        start = _random_start(obs, rfm, cfg)
-    path: list[Location] = [start]
-    estimates: list[Location] = []
-    state: Termination | None = None
-    for _ in range(cfg.max_iterations):
-        row = _weight_row(rfm, path[-1], cfg)
-        nxt = lookup(row.weights, row.min_weight)
-        estimates.append(nxt)
-        path.append(nxt)
-        state = detect_termination(estimates, cfg)
-        if state is not None:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected, not warned about
+        cells = _cells(obs_vec, rfm, cfg)
+        # every cell and outside distance adds to these with weight 1, so an
+        # overflowed one leaves inf or NaN here
+        unweighted = _finite(weighted(np.ones(len(rfm.feature_ids)), 1.0))
+        if cfg.init_mode == "knn":
+            start = _nearest(unweighted, rfm, cfg.k)
+        else:
+            start = _random_start(obs, rfm, cfg)
+        path: list[Location] = [start]
+        estimates: list[Location] = []
+        state: Termination | None = None
+        for _ in range(cfg.max_iterations):
+            row = _weight_row(rfm, path[-1], cfg)
+            nxt = _nearest(weighted(row.weights, row.min_weight), rfm, cfg.k)
+            estimates.append(nxt)
+            path.append(nxt)
+            state = detect_termination(estimates, cfg)
+            if state is not None:
+                break
     loop_points = _extract_loop(estimates) if state is Termination.LOOPING else None
     return resolve_state(state, path, loop_points, obs, rfm, cfg)
 

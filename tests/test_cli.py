@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -468,11 +469,11 @@ def _bad_input(case, workdir, scored, tmp):
         (runs / f"{stem}.jsonl").write_bytes(knn.read_bytes())
         return runs
 
-    def unseen_feature_query():
+    def unseen_feature_query(value=1000.0):
         # a feature the map never saw: its distance to the missing value is 1110 dB
         lines = obs.read_text().splitlines(keepends=True)
         record = json.loads(lines[0])
-        record["features"]["zz:unseen"] = 1000.0
+        record["features"]["zz:unseen"] = value
         (tmp / "q.jsonl").write_text(json.dumps(record) + "\n")
         return tmp / "q.jsonl"
 
@@ -562,6 +563,15 @@ def _bad_input(case, workdir, scored, tmp):
             f"{tmp / 'q.jsonl'}: ", "minkowski_p"),
         "overflow-knn": lambda: (locate("--minkowski-p", "120", obs=unseen_feature_query()),
                                  f"{tmp / 'q.jsonl'}: ", "minkowski_p"),
+        # every feature seen: the map-wide kernel overflows, not the scalar distance
+        "overflow-kernel-iterative": lambda: (
+            locate("--minkowski-p", "1000", "--method", "iterative"), f"{obs}: ",
+            "minkowski_p = 1000"),
+        "overflow-kernel-knn": lambda: (locate("--minkowski-p", "1000"), f"{obs}: ",
+                                        "minkowski_p = 1000"),
+        # a squared float overflows to inf without raising
+        "overflow-square": lambda: (locate(obs=unseen_feature_query(1e200)),
+                                    f"{tmp / 'q.jsonl'}: ", "minkowski_p = 2.0"),
     }
     return cases[case]()
 
@@ -575,10 +585,13 @@ def _bad_input(case, workdir, scored, tmp):
     "map-x-string", "map-y-true", "estimates-blank-lines", "config-ok-flag-nan",
     "estimates-empty-path", "report-empty-path", "survey-x-true", "estimates-iterations-float",
     "map-config-radius-string", "report-run-named-opt", "report-run-name-comma",
-    "overflow-iterative", "overflow-knn"])
+    "overflow-iterative", "overflow-knn", "overflow-kernel-iterative", "overflow-kernel-knn",
+    "overflow-square"])
 def test_bad_input_exits_1_with_one_error_line(workdir, scored, tmp_path, capsys, case):
     argv, prefix, phrase = _bad_input(case, workdir, scored, tmp_path)
-    assert run(argv) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print a second line
+        assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {prefix}")
     assert err.count("\n") == 1 and err.endswith("\n")

@@ -7,6 +7,7 @@ import pytest
 
 from rfmloc import _kernels
 from rfmloc.dissim import feature_distance
+from tests.conftest import random_rfm
 
 GAMMA = -110.0
 
@@ -75,8 +76,9 @@ class TestNumpyBackend:
 
 
 def cells_of(ref, obs, a1, a2, gamma, p):
-    """The weight-free cells with the constants of ``ref`` computed for this call."""
-    return _kernels.cdm_cells(_kernels.cdm_constants(ref, a1, a2, gamma), obs, gamma, p)
+    """The weight-free cells, with the absent cells of ``ref`` found for this call."""
+    absent = np.flatnonzero(np.isnan(ref))
+    return _kernels.cdm_cells(ref, absent, absent % ref.shape[1], obs, a1, a2, gamma, p)
 
 
 def one_pass(ref, obs, weights, a1, a2, gamma, p, base):
@@ -148,36 +150,45 @@ def per_call_terms(ref, obs, a1, a2, gamma, p):
     return np.multiply(scale, terms, out=scale)
 
 
+# (alpha1, alpha2): the defaults, kNN's, and each scale at 0, where a cell
+# absent on both sides must still read +0
+SCALES = [(3.0, 3.0), (1.0, 1.0), (3.0, 0.0), (0.0, 3.0), (0.0, 0.0)]
+
+
 class TestConstants:
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("corner", [None, "all-observed", "zero-alphas", "featureless-obs",
                                         "alpha2-zero", "alpha1-zero"])
     def test_cells_are_the_per_call_expression_bit_for_bit(self, rng, p, corner):
+        # maps with NaN cells, against observations that have and lack those columns
+        pinned = {"zero-alphas": [(0.0, 0.0)], "alpha2-zero": [(3.0, 0.0)],
+                  "alpha1-zero": [(0.0, 3.0)]}
         for _ in range(60):
             ref, obs, _, a1, a2, gamma, p, _ = random_case(rng, p=p)
             if corner == "all-observed":
                 obs = rng.uniform(-105, -40, size=obs.shape)
-            elif corner == "zero-alphas":
-                a1 = a2 = 0.0
             elif corner == "featureless-obs":
                 obs[:] = np.nan
-            elif corner == "alpha2-zero":
-                # a cell absent on both sides is 0 whichever scales multiply it
-                a1, a2 = 3.0, 0.0
-            elif corner == "alpha1-zero":
-                a1, a2 = 0.0, 3.0
-            want = per_call_terms(ref, obs, a1, a2, gamma, p).tobytes()
-            constants = _kernels.cdm_constants(ref, a1, a2, gamma)
-            constants.filled.setflags(write=False)  # shared constants are never written
-            constants.observed.setflags(write=False)
-            assert _kernels.cdm_cells(constants, obs, gamma, p).tobytes() == want
+            absent = np.flatnonzero(np.isnan(ref))
+            columns = absent % ref.shape[1]
+            for arr in (ref, absent, columns):
+                arr.setflags(write=False)  # a map's layers are never written
+            for a1, a2 in pinned.get(corner, [(a1, a2), *SCALES]):
+                want = per_call_terms(ref, obs, a1, a2, gamma, p).tobytes()
+                got = _kernels.cdm_cells(ref, absent, columns, obs, a1, a2, gamma, p)
+                assert got.tobytes() == want
 
-    def test_layers_hold_the_fill_and_both_scales(self):
-        ref = np.array([[-50.0, np.nan], [np.nan, -70.0]])
-        constants = _kernels.cdm_constants(ref, 3.0, 2.0, GAMMA)
-        assert constants.filled.tolist() == [[-50.0, GAMMA], [GAMMA, -70.0]]
-        assert constants.observed.tolist() == [[1.0, 3.0], [3.0, 1.0]]
-        assert constants.alpha2 == 2.0
+    def test_map_keeps_its_absent_cells_read_only(self, rng):
+        for density in (1.0, 0.6, 0.2):
+            rfm = random_rfm(rng, n_points=15, n_features=6, density=density)
+            absent = np.flatnonzero(~np.isfinite(rfm.values))
+            assert np.array_equal(rfm.absent_cells, absent)
+            assert np.array_equal(rfm.absent_columns, absent % 6)
+            for arr in (rfm.absent_cells, rfm.absent_columns):
+                assert not arr.flags.writeable
+                if arr.size:
+                    with pytest.raises(ValueError):
+                        arr[0] = arr[0]
 
 
 class TestSelection:

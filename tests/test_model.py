@@ -9,9 +9,9 @@ import pytest
 from rfmloc.builder import BuilderConfig
 from rfmloc.model import (DataError, ExtendedRfm, Fingerprint, Location,
                           PositioningConfig, RawRfm, Rect, RfmEntry, Termination,
-                          attributes, estimate_from_obj, estimate_to_obj,
-                          fingerprint_from_obj, fingerprint_to_obj, gaussian_nw,
-                          nearest_carriers_nw, read_fingerprints, write_fingerprints)
+                          estimate_from_obj, estimate_to_obj, fingerprint_from_obj,
+                          fingerprint_to_obj, gaussian_nw, nearest_carriers_nw,
+                          read_fingerprints, write_fingerprints)
 from tests.conftest import make_fp, make_rfm, random_rfm
 
 
@@ -38,19 +38,6 @@ def reference_query(rfm: ExtendedRfm, loc: Location) -> list[RfmEntry]:
         return out
 
     return along(3.0 * cfg.bandwidth) or along(None)
-
-
-class TestAttributes:
-    def test_empty_fingerprint_has_no_attributes(self):
-        assert attributes(make_fp({})) == frozenset()
-
-    def test_counts_measured_features(self):
-        fp = make_fp({f"ap{i}": -60.0 - i for i in range(7)})
-        assert len(attributes(fp)) == 7
-
-    def test_is_the_key_set(self):
-        fp = make_fp({"a": -50.0, "b": -60.0})
-        assert attributes(fp) == frozenset({"a", "b"})
 
 
 class TestFingerprintValidation:

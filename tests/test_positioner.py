@@ -14,12 +14,12 @@ import pytest
 
 from rfmloc.builder import BuilderConfig
 from rfmloc.dissim import WeightVector, mji, softmax_weights, weighted_cdm
-from rfmloc.model import (KEPT_CONSTANTS, ExtendedRfm, Fingerprint, Location,
-                          PositioningConfig, RfmEntry, Termination, estimate_to_obj)
+from rfmloc.model import (ExtendedRfm, Fingerprint, Location, PositioningConfig, RfmEntry,
+                          Termination, estimate_to_obj)
 from rfmloc import _kernels
 from rfmloc.positioner import (InsufficientPoints, _aligned, _cells, _extract_loop,
-                               _k_smallest, _outside_constant, _weight_row, detect_termination,
-                               dissimilarities, initial_location, iterate_locate, knn_locate,
+                               _k_smallest, _outside_constant, _random_start, _weight_row,
+                               detect_termination, dissimilarities, iterate_locate, knn_locate,
                                locate_batch, mcd_center, resolve_state)
 from tests.conftest import make_fp, make_rfm, random_rfm
 
@@ -320,12 +320,16 @@ class TestIterateLocate:
     def test_random_init_is_query_keyed(self, rng):
         rfm = random_rfm(rng, n_points=30, n_features=3, density=0.9)
         cfg = PositioningConfig(init_mode="random", init_seed=5)
-        starts = {initial_location(make_fp({"a": -60.0}, fp_id=i), rfm, cfg)
-                  for i in range(40)}
+
+        def start(i):  # the path starts at the initialization
+            return iterate_locate(make_fp({rfm.feature_ids[0]: -60.0}, fp_id=i), rfm,
+                                  cfg).path[0]
+
+        starts = {start(i) for i in range(40)}
         # repeatable per id, varied across ids
-        again = initial_location(make_fp({"a": -60.0}, fp_id=7), rfm, cfg)
-        assert again == initial_location(make_fp({"a": -60.0}, fp_id=7), rfm, cfg)
+        assert start(7) == start(7)
         assert len(starts) > 5
+        assert starts <= {rfm.location_at(j) for j in range(rfm.n_points)}
 
 
 def same_map(rfm):
@@ -480,59 +484,6 @@ class TestWeightMemo:
 
 
 class TestKernelConstants:
-    def test_one_read_only_entry_per_scale_setting(self, rng):
-        rfm = random_rfm(rng, n_points=20, n_features=5, density=0.6, sigma_range=(0.5, 6.0))
-        queries = [make_fp({f: float(rng.uniform(-105, -40))
-                            for f in rfm.feature_ids if rng.random() < 0.7}, fp_id=i)
-                   for i in range(10)]
-        for method in ("iterative", "knn", "cdm", "iterative"):
-            locate_batch(queries, rfm, CFG, method=method)
-        keys = {(CFG.alpha1, CFG.alpha2, CFG.missing_value), (1.0, 1.0, CFG.missing_value)}
-        assert set(rfm._constants) == keys
-        for a1, a2, missing in keys:
-            want = _kernels.cdm_constants(rfm.values, a1, a2, missing)
-            kept = rfm._constants[(a1, a2, missing)]
-            for layer, fresh in ((kept.filled, want.filled), (kept.observed, want.observed)):
-                assert not layer.flags.writeable
-                assert layer.tobytes() == fresh.tobytes()
-            assert kept.alpha2 == a2
-
-    def test_keeps_at_most_a_fixed_number_of_settings(self, rng):
-        rfm = random_rfm(rng, n_points=12, n_features=4, density=0.7, sigma_range=(0.5, 6.0))
-        queries = [make_fp({f: float(rng.uniform(-105, -40))
-                            for f in rfm.feature_ids if rng.random() < 0.7}, fp_id=i)
-                   for i in range(8)]
-        settings = [replace(CFG, alpha1=1.0 + i, alpha2=2.0 + i)
-                    for i in range(KEPT_CONSTANTS + 3)]
-        for _ in range(2):  # the second round asks for settings the memo turned away
-            for cfg in settings:
-                assert (locate_batch(queries, rfm, cfg, method="cdm")
-                        == locate_batch(queries, same_map(rfm), cfg, method="cdm"))
-        assert len(rfm._constants) == KEPT_CONSTANTS
-
-    def test_racing_first_fills_share_one_value(self, rng):
-        rfm = random_rfm(rng, n_points=10, n_features=4, density=0.7, sigma_range=(0.5, 6.0))
-        threads = 8
-        start = threading.Barrier(threads)
-
-        def compute():
-            time.sleep(1e-4)  # let the other threads run between lookup and insert
-            return _kernels.cdm_constants(rfm.values, 1.0, 1.0, -110.0)
-
-        def fill(_):
-            start.wait(timeout=10)
-            return rfm.remembered_constants("key", compute)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                got = [f.result(timeout=60) for f in [pool.submit(fill, t)
-                                                      for t in range(threads)]]
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(value is rfm._constants["key"] for value in got)
-
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_each_comparison_owns_its_cells(self, rng, p):
         rfm = random_rfm(rng, n_points=15, n_features=5, density=0.6, sigma_range=(0.5, 6.0))
@@ -579,9 +530,14 @@ def sparse_search_cases(rng, count):
         yield make_fp(features, fp_id=i), rfm, cfg
 
 
+def reference_start(obs, rfm, cfg):
+    """The search's start: the unweighted lookup, or the query-keyed draw."""
+    return knn_locate(obs, rfm, cfg) if cfg.init_mode == "knn" else _random_start(obs, rfm, cfg)
+
+
 def reference_search(obs, rfm, cfg):
     """The iteration spelled out with the public one-shot lookups."""
-    path = [initial_location(obs, rfm, cfg)]
+    path = [reference_start(obs, rfm, cfg)]
     estimates = []
     state = None
     for _ in range(cfg.max_iterations):
@@ -600,7 +556,7 @@ class TestSearchSteps:
         seen = set()
         for obs, rfm, cfg in sparse_search_cases(rng, 80):
             est = iterate_locate(obs, rfm, cfg)
-            assert est.path[0] == initial_location(obs, rfm, cfg)
+            assert est.path[0] == reference_start(obs, rfm, cfg)
             for here, nxt in zip(est.path, est.path[1:]):
                 wv = softmax_weights(rfm.query(here), cfg.beta, cfg.weight_form)
                 assert nxt == knn_locate(obs, rfm, cfg, wv)
@@ -613,9 +569,7 @@ class TestSearchSteps:
         # bit for bit, the constant of the feature outside the map included
         for obs, rfm, cfg in sparse_search_cases(rng, 40):
             obs_vec, outside = _aligned(obs, rfm, cfg)
-            constants = _kernels.cdm_constants(rfm.values, cfg.alpha1, cfg.alpha2,
-                                               cfg.missing_value)
-            cells = _kernels.cdm_cells(constants, obs_vec, cfg.missing_value, cfg.minkowski_p)
+            cells = _cells(obs_vec, rfm, cfg)
             for here in iterate_locate(obs, rfm, cfg).path:
                 row = _weight_row(rfm, here, cfg)
                 base = _outside_constant(outside, lambda _: row.min_weight, cfg.alpha1)

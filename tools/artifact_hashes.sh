@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Build the byte-identity artifact set of two small synthetic datasets and
+# Build the byte-identity artifact set of three small synthetic datasets and
 # print the sha256 of every file in it, one `sha256sum` line per file with
 # its path relative to OUT_DIR. Two checkouts whose listings are equal build
 # the same maps, estimates and reports byte for byte.
@@ -8,7 +8,9 @@
 #
 # OUT_DIR must not exist or be empty. The program is run from this
 # checkout's src/. Per dataset (synth seed 5 `--n-aps 8 --passes 2
-# --spacing 1.2`, and seed 7 at defaults): build; locate iterative, knn and
+# --spacing 1.2`, seed 7 at defaults, and a sparse seed 7 map whose cells
+# are 12% absent, so that queries lack features the map has and the map
+# lacks features they have): build; locate iterative, knn and
 # cdm; iterative with 4 threads; eval of the iterative run with its ECDF and
 # per-query errors; report of the three methods; iterative at Minkowski
 # order 3 with k = 3; iterative at order 1.5 from a random start with k = 3
@@ -59,6 +61,7 @@ dataset() {
 
 dataset s5 --seed 5 --n-aps 8 --passes 2 --spacing 1.2
 dataset s7 --seed 7
+dataset sparse --seed 7 --roi-width 200 --roi-height 120 --n-aps 12 --passes 1 --spacing 2
 
 cd "$out"
 find . -type f | LC_ALL=C sort | xargs sha256sum
