@@ -15,7 +15,7 @@ from pathlib import Path
 
 from rfmloc import evaluate
 from rfmloc.builder import build
-from rfmloc.dissim import EmptyComparison
+from rfmloc.dissim import EmptyComparison, WeightOverflow
 from rfmloc.model import (BuilderConfig, DataError, ExtendedRfm, PositioningConfig, RawRfm,
                           field_types, read_estimates, read_fingerprints, read_lines,
                           write_estimates, write_fingerprints, write_lines)
@@ -138,6 +138,8 @@ def _cmd_locate(args) -> int:
                                  threads=args.threads)
     except EmptyComparison as exc:
         raise DataError(str(exc), source=args.obs) from None
+    except WeightOverflow as exc:  # beta against the map's spread layer
+        raise DataError(str(exc), source=args.rfm) from None
     except OverflowError:
         raise DataError(f"a feature distance overflows at minkowski_p = {cfg.minkowski_p}",
                         source=args.obs) from None

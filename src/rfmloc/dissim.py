@@ -12,6 +12,7 @@ smallest computed weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import AbstractSet, Mapping, Sequence
 
@@ -26,6 +27,10 @@ class EmptyComparison(ValueError):
 
 class UndefinedSimilarity(ValueError):
     """Set similarity is undefined for an empty observation."""
+
+
+class WeightOverflow(OverflowError):
+    """A softmax exponent beta / sigma^2 is too large for a float."""
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,8 @@ def softmax_row(sigmas: np.ndarray, features: np.ndarray, n_features: int, beta:
     exponent sign, reproducing the published formula, which instead favors
     the features with the largest spread. Exponents are shifted by their
     maximum before exponentiation; the weights are invariant under any
-    such constant shift.
+    such constant shift. An exponent too large for a float raises
+    :class:`WeightOverflow`, so every weight returned is finite.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -71,8 +77,13 @@ def softmax_row(sigmas: np.ndarray, features: np.ndarray, n_features: int, beta:
         raise ValueError(f"unknown weight form {form!r}")
     if not sigmas.size:
         return np.ones(n_features), 1.0
-    if (sigmas <= 0).any():
+    low = float(sigmas.min())
+    if low <= 0:
         raise ValueError("spread values must be positive")
+    # the largest exponent, bit for bit: each operation below rounds monotonically
+    if low * low == 0 or not math.isfinite(beta / (low * low)):
+        raise WeightOverflow(f"a softmax weight exponent beta / sigma^2 overflows at "
+                             f"beta = {beta!r}")
     exponents = beta / (sigmas * sigmas)
     if form == "paper_verbatim":
         exponents = -exponents

@@ -5,18 +5,23 @@ Fingerprint records travel as JSON lines, one object per line::
     {"id": 3, "x": 1.5, "y": 0.25, "features": {"9c:50:ee:09:5f:30": -61.0}}
 
 ``x`` and ``y`` are null for records without a ground-truth location. An
-extended reference map is a single JSON document holding the builder
-configuration snapshot and one entry list per reference point; see
-:meth:`ExtendedRfm.to_json`.
+extended reference map is a single JSON document in format 2: the builder
+configuration snapshot, the feature ids once, and per reference point its
+location and three parallel lists, the indices of the features it carries,
+their values and their sigmas; see :meth:`ExtendedRfm.to_json`. Maps in
+format 1, which listed one ``{"id", "v", "sigma"}`` object per entry, are
+still read, into the same layers.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import threading
 from dataclasses import asdict, dataclass, fields
 from enum import IntEnum
+from itertools import chain
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -527,55 +532,56 @@ class ExtendedRfm:
         return row
 
     def to_json(self) -> str:
+        """The map as a format-2 document::
+
+            {"format": 2, "config": {...}, "features": [ids],
+             "points": [{"x": 1.5, "y": 0.0, "f": [0, 2], "v": [-61.5, -70.25],
+                         "sigma": [1.2, 3.0]}]}
+
+        ``features`` lists every feature id once, in strictly ascending
+        order, and each point lists the indices into it of the features it
+        carries, ascending, with their values and sigmas in the same order.
+        Floats are written by ``repr``, so :meth:`from_json` restores every
+        layer bit for bit. :meth:`from_json` still reads format 1, the
+        document without ``"format"`` whose points hold ``"entries"``, one
+        ``{"id", "v", "sigma"}`` object per stored value.
+        """
         fids = self._feature_ids
+        order = sorted(range(len(fids)), key=fids.__getitem__)
+        present = self._present[:, order]
+        cols = np.nonzero(present)[1].tolist()
+        values = self._values[:, order][present].tolist()
+        sigmas = self._sigmas[:, order][present].tolist()
         points = []
-        for (x, y), present, values, sigmas in zip(
-                self._locations.tolist(), self._present.tolist(),
-                self._values.tolist(), self._sigmas.tolist()):
-            entries = [{"id": fid, "v": v, "sigma": s}
-                       for fid, p, v, s in zip(fids, present, values, sigmas) if p]
-            points.append({"x": x, "y": y, "entries": entries})
-        return json.dumps({"config": self._config.to_dict(), "points": points})
+        end = 0
+        for (x, y), count in zip(self._locations.tolist(), present.sum(axis=1).tolist()):
+            start, end = end, end + count
+            points.append({"x": x, "y": y, "f": cols[start:end], "v": values[start:end],
+                           "sigma": sigmas[start:end]})
+        return json.dumps({"format": 2, "config": self._config.to_dict(),
+                           "features": [fids[f] for f in order], "points": points})
 
     @classmethod
     def from_json(cls, text: str) -> "ExtendedRfm":
+        """A map from a format-2 document (see :meth:`to_json`) or a format-1 one."""
         obj = json.loads(text)
+        if "format" not in obj:
+            decode = _format1_layers
+        elif type(obj["format"]) is int and obj["format"] == 2:
+            decode = _format2_layers
+        else:
+            raise ValueError(f"unknown map format {obj['format']!r}")
         config = BuilderConfig.from_dict(obj["config"])
-        points = obj["points"]
-        coords, rows, fids, values, sigmas = [], [], [], [], []
-        number = _JSON_TYPES[float]
-        for j, pt in enumerate(points):
-            x, y = pt["x"], pt["y"]
-            if not all(type(c) in number and math.isfinite(c) for c in (x, y)):
-                raise ValueError(f"reference point {j} has x={x!r}, y={y!r}; "
-                                 f"coordinates must be finite numbers")
-            coords.append((x, y))
-            entries = pt["entries"]
-            for e in entries:
-                fid, v, sigma = e["id"], e["v"], e["sigma"]
-                if not (type(fid) is str and fid and type(v) in number
-                        and type(sigma) in number and math.isfinite(v) and math.isfinite(sigma)):
-                    raise ValueError(f"feature {fid!r} at reference point {j} has v={v!r}, "
-                                     f"sigma={sigma!r}; feature ids must be non-empty "
-                                     f"strings and both values finite numbers")
-                rows.append(j)
-                fids.append(fid)
-                values.append(v)
-                sigmas.append(sigma)
-            ids = fids[len(fids) - len(entries):]
-            if len(set(ids)) != len(ids):
-                twice = next(fid for k, fid in enumerate(ids) if fid in ids[:k])
-                raise ValueError(f"feature {twice!r} is listed twice at reference point {j}")
-        universe = sorted(set(fids))
-        index = {fid: i for i, fid in enumerate(universe)}
-        n = len(points)
-        locations = np.array(coords, dtype=float).reshape(n, 2)
-        value_layer = np.full((n, len(universe)), np.nan)
-        sigma_layer = np.full((n, len(universe)), np.nan)
-        cols = [index[fid] for fid in fids]
+        locations, feature_ids, rows, cols, values, sigmas = decode(obj)
+        n = len(locations)
+        value_layer = np.full((n, len(feature_ids)), np.nan)
+        sigma_layer = np.full((n, len(feature_ids)), np.nan)
         value_layer[rows, cols] = values
         sigma_layer[rows, cols] = sigmas
-        return cls(locations, universe, value_layer, sigma_layer, config)
+        # every listed value is finite: a cell listed twice leaves fewer finite cells
+        if np.count_nonzero(np.isfinite(value_layer)) != len(values):
+            raise _listed_twice(feature_ids, rows, cols)
+        return cls(locations, feature_ids, value_layer, sigma_layer, config)
 
     def save(self, path) -> None:
         write_lines(path, [self.to_json()])
@@ -583,6 +589,118 @@ class ExtendedRfm:
     @classmethod
     def load(cls, path) -> "ExtendedRfm":
         return read_document(path, cls.from_json, "reference map")
+
+
+# The JSON value types of a number; a bool is never one.
+_NUMBER = frozenset(_JSON_TYPES[float])
+
+
+def _check_coordinates(j: int, x, y) -> None:
+    if not all(type(c) in _NUMBER and math.isfinite(c) for c in (x, y)):
+        raise ValueError(f"reference point {j} has x={x!r}, y={y!r}; "
+                         f"coordinates must be finite numbers")
+
+
+def _check_entry(j: int, fid, v, sigma) -> None:
+    if not (type(fid) is str and fid and type(v) in _NUMBER and type(sigma) in _NUMBER
+            and math.isfinite(v) and math.isfinite(sigma)):
+        raise ValueError(f"feature {fid!r} at reference point {j} has v={v!r}, "
+                         f"sigma={sigma!r}; feature ids must be non-empty "
+                         f"strings and both values finite numbers")
+
+
+def _format1_layers(obj: Mapping):
+    """The reference locations, feature ids and listed cells (rows,
+    columns, values, sigmas) of a format-1 map, checked entry by entry."""
+    coords, rows, fids, values, sigmas = [], [], [], [], []
+    for j, pt in enumerate(obj["points"]):
+        x, y = pt["x"], pt["y"]
+        _check_coordinates(j, x, y)
+        coords.append((x, y))
+        for e in pt["entries"]:
+            fid, v, sigma = e["id"], e["v"], e["sigma"]
+            _check_entry(j, fid, v, sigma)
+            rows.append(j)
+            fids.append(fid)
+            values.append(v)
+            sigmas.append(sigma)
+    universe = sorted(set(fids))
+    index = {fid: i for i, fid in enumerate(universe)}
+    locations = np.array(coords, dtype=float).reshape(len(coords), 2)
+    return locations, universe, rows, [index[fid] for fid in fids], values, sigmas
+
+
+def _format2_layers(obj: Mapping):
+    """:func:`_format1_layers` for a format-2 map. Its points are checked
+    in whole-list passes; only a map that fails one is scanned point by
+    point, for the first fault."""
+    features, points = obj["features"], obj["points"]
+    if not (type(features) is list and set(map(type, features)) <= {str} and all(features)
+            and all(map(operator.lt, features, features[1:]))):
+        raise ValueError("features must be a list of non-empty strings in strictly "
+                         "ascending order")
+    columns = [list(map(operator.itemgetter(key), points))
+               for key in ("x", "y", "f", "v", "sigma")]
+    cells = _format2_cells(*columns, len(features))
+    if cells is None:
+        _raise_first_fault(points, features)
+    locations, rows, cols, values, sigmas = cells
+    return locations, features, rows, cols, values, sigmas
+
+
+def _format2_cells(xs: list, ys: list, fs: list, vs: list, ss: list, n_features: int):
+    """The locations and listed cells of format-2 points given as one list
+    per key, or None if a point breaks a rule: coordinates and values
+    finite JSON numbers, ``f``, ``v`` and ``sigma`` lists of equal length,
+    each index an int in [0, n_features)."""
+    if not set(map(type, chain(fs, vs, ss))) <= {list}:
+        return None
+    counts = list(map(len, fs))
+    if not (counts == list(map(len, vs)) == list(map(len, ss))
+            and set(map(type, chain(xs, ys, *map(chain.from_iterable, (vs, ss))))) <= _NUMBER
+            and set(map(type, chain.from_iterable(fs))) <= {int}):
+        return None
+    total = sum(counts)
+    try:
+        locations = np.array((xs, ys), dtype=float).T
+        cols = np.fromiter(chain.from_iterable(fs), np.intp, total)
+        values = np.fromiter(chain.from_iterable(vs), float, total)
+        sigmas = np.fromiter(chain.from_iterable(ss), float, total)
+    except OverflowError:  # an int too large for its array
+        return None
+    if not (np.isfinite(locations).all() and np.isfinite(values).all()
+            and np.isfinite(sigmas).all()
+            and (total == 0 or (cols.min() >= 0 and cols.max() < n_features))):
+        return None
+    return locations, np.repeat(np.arange(len(xs)), counts), cols, values, sigmas
+
+
+def _raise_first_fault(points: Sequence, feature_ids: Sequence[FeatureId]) -> None:
+    """Raise the error naming the first format-2 point that breaks a rule
+    of :func:`_format2_cells`."""
+    for j, pt in enumerate(points):
+        _check_coordinates(j, pt["x"], pt["y"])
+        f, v, sigma = pt["f"], pt["v"], pt["sigma"]
+        if not (type(f) is type(v) is type(sigma) is list and len(f) == len(v) == len(sigma)):
+            raise ValueError(f"reference point {j} does not hold f, v and sigma as lists "
+                             f"of equal length")
+        for i, value, s in zip(f, v, sigma):
+            if type(i) is not int or not 0 <= i < len(feature_ids):
+                raise ValueError(f"feature index {i!r} at reference point {j} is not an "
+                                 f"int in [0, {len(feature_ids)})")
+            _check_entry(j, feature_ids[i], value, s)
+    raise ValueError("a reference point breaks the map format")
+
+
+def _listed_twice(feature_ids: Sequence[FeatureId], rows, cols) -> ValueError:
+    """The error naming the first entry, in document order, whose cell an
+    earlier entry already lists."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    cells = rows * len(feature_ids) + cols
+    order = np.argsort(cells, kind="stable")
+    first = order[1:][cells[order[1:]] == cells[order[:-1]]].min()
+    return ValueError(f"feature {feature_ids[cols[first]]!r} is listed twice at "
+                      f"reference point {rows[first]}")
 
 
 # What a parser raises on malformed input, too deeply nested JSON included;
@@ -614,7 +732,9 @@ def read_document(path, parse, what: str):
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return parse(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        del data  # the text alone is kept while ``parse`` runs
+        return parse(text)
     except _PARSE_ERRORS as exc:
         raise DataError(f"invalid {what}: {exc}", source=path) from exc
 

@@ -17,9 +17,11 @@ A lookup ranks finite values only, and raises ``OverflowError`` rather
 than rank what overflowed. A feature distance too large for a float (a
 large Minkowski order, or a huge value) leaves a non-finite value in the
 unweighted dissimilarities, which every search checks in full. After that
-a weighting can overflow only in a sum of finite terms, which is caught
-when it is among the k smallest values; above them it ranks last, where
-its true value belongs.
+every cell is finite and non-negative, and so is every softmax weight
+(``softmax_row`` raises ``WeightOverflow`` on an exponent that is not), so
+a weighting yields no NaN: it can overflow only to +inf in a sum of finite
+terms, which is caught when it is among the k smallest values; above them
+it ranks last, where its true value belongs.
 """
 
 from __future__ import annotations
@@ -121,18 +123,13 @@ def _k_smallest(d: np.ndarray, k: int) -> np.ndarray:
     ``np.argsort(d, kind="stable")[:k]``, for 1 <= k <= len(d).
 
     Only the values not above the k-th smallest are sorted. They are taken
-    in index order, so the stable sort keeps their ties by index. A NaN
-    k-th value (fewer than k numbers) takes the full sort, which puts NaN
-    last. k = 1, the default, is one argmin, also the fastest answer on
-    one thread.
+    in index order, so the stable sort keeps their ties by index. k = 1,
+    the default, is one argmin, also the fastest answer on one thread.
+    ``d`` holds no NaN: see the module docstring.
     """
     if k == 1:
-        best = d.argmin()  # the first minimum, or the first NaN
-        if not np.isnan(d[best]):
-            return np.array([best])
+        return np.array([d.argmin()])
     kth = d[np.argpartition(d, k - 1)[k - 1]]
-    if np.isnan(kth):
-        return np.argsort(d, kind="stable")[:k]
     candidates = np.flatnonzero(d <= kth)
     return candidates[np.argsort(d[candidates], kind="stable")[:k]]
 
@@ -146,7 +143,7 @@ def _finite(d: np.ndarray) -> np.ndarray:
 
 def _nearest(d: np.ndarray, rfm: ExtendedRfm, k: int) -> Location:
     best = _k_smallest(d, min(k, rfm.n_points))
-    if not math.isfinite(d[best[-1]]):  # the largest of the k, NaN sorting last
+    if not math.isfinite(d[best[-1]]):  # the largest of the k
         raise OverflowError("a dissimilarity overflows: one of the k smallest is not finite")
     if best.size == 1:  # the mean of one point, without a numpy call
         return rfm.location_at(int(best[0]))

@@ -1,6 +1,7 @@
 """Command line interface: the full pipeline and its failure modes."""
 
 import json
+import math
 import re
 import warnings
 from dataclasses import fields
@@ -11,6 +12,10 @@ import pytest
 from rfmloc.cli import _build_parser, _layer_config, run
 from rfmloc.evaluate import radial_errors
 from rfmloc.model import BuilderConfig, PositioningConfig, read_estimates, read_fingerprints
+
+
+# A map that an earlier version wrote in format 1, with its survey and queries.
+FORMAT1 = Path(__file__).resolve().parent / "data" / "format1"
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +183,7 @@ class TestLocate:
     def test_zero_sigma_map_exits_1(self, workdir, tmp_path, capsys):
         bad = tmp_path / "sigma0.json"
         obj = json.loads((workdir / "map.json").read_text())
-        obj["points"][3]["entries"][0]["sigma"] = 0.0
+        obj["points"][3]["sigma"][0] = 0.0
         bad.write_text(json.dumps(obj))
         code = run(["locate", "--rfm", str(bad), "--obs", str(workdir / "test.jsonl"),
                     "--out", str(tmp_path / "o.jsonl")])
@@ -192,8 +197,8 @@ class TestLocate:
     def test_non_finite_map_entry_exits_1(self, workdir, tmp_path, capsys, field, literal):
         bad = tmp_path / "nonfinite.json"
         obj = json.loads((workdir / "map.json").read_text())
-        entry = obj["points"][3]["entries"][0]
-        entry[field] = float(literal.lower())
+        point = obj["points"][3]
+        point[field][0] = float(literal.lower())
         text = json.dumps(obj)
         assert literal in text
         bad.write_text(text)
@@ -202,7 +207,7 @@ class TestLocate:
         assert code == 1
         err = capsys.readouterr().err
         assert f"error: {bad}: invalid reference map:" in err
-        assert f"feature {entry['id']!r} at reference point 3" in err
+        assert f"feature {obj['features'][point['f'][0]]!r} at reference point 3" in err
         assert not (tmp_path / "o.jsonl").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -219,7 +224,7 @@ class TestLocate:
                                                            capsys, method):
         holey = tmp_path / "holey.json"
         obj = json.loads((workdir / "map.json").read_text())
-        obj["points"][0]["entries"] = []
+        obj["points"][0].update(f=[], v=[], sigma=[])
         holey.write_text(json.dumps(obj))
         obs = tmp_path / "featureless.jsonl"
         obs.write_text('{"id": 0, "x": null, "y": null, "features": {}}\n')
@@ -241,6 +246,23 @@ class TestLocate:
         err = capsys.readouterr().err
         assert "bad.jsonl" in err
         assert "2" in err  # cites the offending line
+
+
+@pytest.mark.parametrize("method", ["iterative", "knn", "cdm"])
+def test_format_1_map_locates_as_a_fresh_build(tmp_path, method):
+    """The checked-in format-1 map and a format-2 map built now from the
+    same survey give the same estimate bytes."""
+    fresh = tmp_path / "map.json"
+    assert run(["build", "--raw", str(FORMAT1 / "raw.jsonl"), "--out", str(fresh)]) == 0
+    assert "format" not in json.loads((FORMAT1 / "map.json").read_text())
+    assert json.loads(fresh.read_text())["format"] == 2
+    estimates = []
+    for i, rfm in enumerate((FORMAT1 / "map.json", fresh)):
+        out = tmp_path / f"{i}.jsonl"
+        assert run(["locate", "--rfm", str(rfm), "--obs", str(FORMAT1 / "test.jsonl"),
+                    "--out", str(out), "--method", method]) == 0
+        estimates.append(out.read_bytes())
+    assert estimates[0] == estimates[1]
 
 
 @pytest.fixture(scope="module")
@@ -417,20 +439,32 @@ def _bad_input(case, workdir, scored, tmp):
         (runs / "knn.jsonl").write_text("".join(reversed(lines)))
         return runs
 
-    def bad_map(edit):
-        obj = json.loads(rfm.read_text())
-        edit(obj["points"][3]["entries"])
+    def bad_map(edit, source=rfm):
+        """``source`` with ``edit`` applied to its document and its point 3."""
+        obj = json.loads(source.read_text())
+        edit(obj, obj["points"][3])
         (tmp / "map.json").write_text(json.dumps(obj))
         return tmp / "map.json"
+
+    def bad_format1_map(edit):
+        return bad_map(lambda obj, point: edit(point["entries"]), FORMAT1 / "map.json")
 
     def set_first(key, value):
         return lambda entries: entries[0].update({key: value})
 
+    def set_in(key, i, value):
+        return lambda obj, point: point[key].__setitem__(i, value)
+
+    def swap_first_features(obj, point):
+        obj["features"][:2] = obj["features"][1::-1]
+
+    def tiny_sigmas(obj, point):
+        # each sigma is finite and > 0, as the load checks; its square is 0
+        for pt in obj["points"]:
+            pt["sigma"] = [1e-200] * len(pt["sigma"])
+
     def bad_point(key, value):
-        obj = json.loads(rfm.read_text())
-        obj["points"][3][key] = value
-        (tmp / "map.json").write_text(json.dumps(obj))
-        return tmp / "map.json"
+        return bad_map(lambda obj, point: point.update({key: value}))
 
     def blank_lines_then_wrong_id():
         # line 1, two blank lines, then on line 4 the estimate that belongs on line 5
@@ -518,15 +552,75 @@ def _bad_input(case, workdir, scored, tmp):
                                      "converge_tol must be finite", None),
         "n-aps-0": lambda: (["synth", "--seed", "3", "--out-dir", str(out), "--n-aps", "0"],
                             "--n-aps must be at least 1", None),
-        "map-id-not-string": lambda: (locate(rfm=bad_map(set_first("id", 7))),
+        "map-id-not-string": lambda: (locate(rfm=bad_format1_map(set_first("id", 7))),
                                       f"{tmp / 'map.json'}: invalid reference map: ",
                                       "at reference point 3"),
-        "map-v-true": lambda: (locate(rfm=bad_map(set_first("v", True))),
+        "map-v-true": lambda: (locate(rfm=bad_format1_map(set_first("v", True))),
                                f"{tmp / 'map.json'}: invalid reference map: ",
                                "at reference point 3"),
-        "map-id-twice": lambda: (locate(rfm=bad_map(lambda e: e.append(dict(e[0])))),
+        "map-id-twice": lambda: (locate(rfm=bad_format1_map(lambda e: e.append(dict(e[0])))),
                                  f"{tmp / 'map.json'}: invalid reference map: ",
                                  "listed twice at reference point 3"),
+        "map-format-1-x-string": lambda: (
+            locate(rfm=bad_map(lambda obj, point: point.update(x="1.5"), FORMAT1 / "map.json")),
+            f"{tmp / 'map.json'}: invalid reference map: ", "reference point 3 has x='1.5'"),
+        "map-index-out-of-range": lambda: (
+            locate(rfm=bad_map(lambda obj, point: point["f"].__setitem__(
+                0, len(obj["features"])))),
+            f"{tmp / 'map.json'}: invalid reference map: ", "at reference point 3"),
+        "map-index-negative": lambda: (locate(rfm=bad_map(set_in("f", 0, -1))),
+                                       f"{tmp / 'map.json'}: invalid reference map: ",
+                                       "feature index -1 at reference point 3"),
+        "map-index-too-large-an-int": lambda: (locate(rfm=bad_map(set_in("f", 0, 10 ** 30))),
+                                               f"{tmp / 'map.json'}: invalid reference map: ",
+                                               "at reference point 3"),
+        "map-index-twice": lambda: (
+            locate(rfm=bad_map(lambda obj, point: point["f"].__setitem__(1, point["f"][0]))),
+            f"{tmp / 'map.json'}: invalid reference map: ", "listed twice at reference point 3"),
+        "map-index-bool": lambda: (locate(rfm=bad_map(set_in("f", 1, True))),
+                                   f"{tmp / 'map.json'}: invalid reference map: ",
+                                   "at reference point 3"),
+        "map-index-float": lambda: (locate(rfm=bad_map(set_in("f", 1, 1.0))),
+                                    f"{tmp / 'map.json'}: invalid reference map: ",
+                                    "at reference point 3"),
+        "map-lengths-differ": lambda: (
+            locate(rfm=bad_map(lambda obj, point: point["v"].append(-60.0))),
+            f"{tmp / 'map.json'}: invalid reference map: ", "reference point 3"),
+        "map-f-not-a-list": lambda: (
+            locate(rfm=bad_map(lambda obj, point: point.update(f={}, v={}, sigma={}))),
+            f"{tmp / 'map.json'}: invalid reference map: ", "reference point 3"),
+        "map-v-string": lambda: (locate(rfm=bad_map(set_in("v", 0, "-60"))),
+                                 f"{tmp / 'map.json'}: invalid reference map: ",
+                                 "at reference point 3"),
+        "map-sigma-true": lambda: (locate(rfm=bad_map(set_in("sigma", 0, True))),
+                                   f"{tmp / 'map.json'}: invalid reference map: ",
+                                   "at reference point 3"),
+        "map-v-nan": lambda: (locate(rfm=bad_map(set_in("v", 0, math.nan))),
+                              f"{tmp / 'map.json'}: invalid reference map: ",
+                              "at reference point 3"),
+        "map-sigma-infinity": lambda: (locate(rfm=bad_map(set_in("sigma", 0, math.inf))),
+                                       f"{tmp / 'map.json'}: invalid reference map: ",
+                                       "at reference point 3"),
+        "map-x-nan": lambda: (locate(rfm=bad_point("x", math.nan)),
+                              f"{tmp / 'map.json'}: invalid reference map: ",
+                              "reference point 3"),
+        "map-features-unsorted": lambda: (locate(rfm=bad_map(swap_first_features)),
+                                          f"{tmp / 'map.json'}: invalid reference map: ",
+                                          "strictly ascending"),
+        "map-features-twice": lambda: (
+            locate(rfm=bad_map(lambda obj, point: obj["features"].__setitem__(
+                1, obj["features"][0]))),
+            f"{tmp / 'map.json'}: invalid reference map: ", "strictly ascending"),
+        "map-features-not-strings": lambda: (
+            locate(rfm=bad_map(lambda obj, point: obj.update(
+                features=list(range(1, len(obj["features"]) + 1))))),
+            f"{tmp / 'map.json'}: invalid reference map: ", "non-empty strings"),
+        "map-feature-empty": lambda: (
+            locate(rfm=bad_map(lambda obj, point: obj["features"].__setitem__(0, ""))),
+            f"{tmp / 'map.json'}: invalid reference map: ", "non-empty strings"),
+        "map-format-3": lambda: (locate(rfm=bad_map(lambda obj, point: obj.update(format=3))),
+                                 f"{tmp / 'map.json'}: invalid reference map: ",
+                                 "unknown map format 3"),
         "map-x-string": lambda: (locate(rfm=bad_point("x", "1.5")),
                                  f"{tmp / 'map.json'}: invalid reference map: ",
                                  "reference point 3"),
@@ -572,6 +666,12 @@ def _bad_input(case, workdir, scored, tmp):
         # a squared float overflows to inf without raising
         "overflow-square": lambda: (locate(obs=unseen_feature_query(1e200)),
                                     f"{tmp / 'q.jsonl'}: ", "minkowski_p = 2.0"),
+        # a softmax exponent beta / sigma^2 too large for a float
+        "overflow-weight-beta": lambda: (locate("--method", "iterative", "--beta", "1e308"),
+                                         f"{rfm}: ", "beta = 1e+308"),
+        "overflow-weight-sigma": lambda: (
+            locate("--method", "iterative", rfm=bad_map(tiny_sigmas)),
+            f"{tmp / 'map.json'}: ", "beta = 2.0"),
     }
     return cases[case]()
 
@@ -586,7 +686,12 @@ def _bad_input(case, workdir, scored, tmp):
     "estimates-empty-path", "report-empty-path", "survey-x-true", "estimates-iterations-float",
     "map-config-radius-string", "report-run-named-opt", "report-run-name-comma",
     "overflow-iterative", "overflow-knn", "overflow-kernel-iterative", "overflow-kernel-knn",
-    "overflow-square"])
+    "overflow-square", "overflow-weight-beta", "overflow-weight-sigma",
+    "map-format-1-x-string", "map-index-out-of-range", "map-index-negative",
+    "map-index-too-large-an-int", "map-index-twice", "map-index-bool", "map-index-float",
+    "map-lengths-differ", "map-f-not-a-list", "map-v-string", "map-sigma-true", "map-v-nan",
+    "map-sigma-infinity", "map-x-nan", "map-features-unsorted", "map-features-twice",
+    "map-features-not-strings", "map-feature-empty", "map-format-3"])
 def test_bad_input_exits_1_with_one_error_line(workdir, scored, tmp_path, capsys, case):
     argv, prefix, phrase = _bad_input(case, workdir, scored, tmp_path)
     with warnings.catch_warnings():

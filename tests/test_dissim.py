@@ -1,12 +1,13 @@
 """Compound dissimilarity, softmax weighting, joint-inclusion similarity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from rfmloc.dissim import (EmptyComparison, WeightVector, feature_distance, mji,
-                           softmax_row, softmax_weights, weighted_cdm)
+from rfmloc.dissim import (EmptyComparison, WeightOverflow, WeightVector, feature_distance,
+                           mji, softmax_row, softmax_weights, weighted_cdm)
 from rfmloc.model import Location, PositioningConfig, RfmEntry
 from tests.conftest import make_fp, random_rfm
 
@@ -227,6 +228,13 @@ class TestSoftmaxRow:
             softmax_row(np.array([0.0]), one, 1, 2.0)
         with pytest.raises(ValueError):
             softmax_row(np.array([1.0]), one, 1, 2.0, "banana")
+
+    @pytest.mark.parametrize("form", ["precision_softmax", "paper_verbatim"])
+    @pytest.mark.parametrize("sigmas, beta", [([1.0, 0.5], 1e308), ([1.0, 1e-200], 2.0)])
+    def test_an_exponent_too_large_for_a_float_raises(self, form, sigmas, beta):
+        # beta / sigma^2 overflows, or sigma^2 underflows to 0: the row would hold NaN
+        with pytest.raises(WeightOverflow, match=re.escape(f"at beta = {beta!r}")):
+            softmax_row(np.array(sigmas), np.arange(2), 2, beta, form)
 
 
 class TestMji:

@@ -150,9 +150,34 @@ class TestExtendedRfmSerialization:
         assert back.to_json() == rfm.to_json()
         assert back.entries_at(1) == [RfmEntry("a", -70.0, 2.0), RfmEntry("b", -80.0, 0.5)]
 
+    def test_save_load_round_trip(self, rng, tmp_path):
+        rfm = random_rfm(rng, 30, 5, density=0.6, sigma_range=(0.5, 6.0),
+                         config=BuilderConfig(radius=3.5, ks_neighbors=7))
+        path = tmp_path / "map.json"
+        rfm.save(path)
+        assert path.read_text().startswith('{"format": 2, ')
+        back = ExtendedRfm.load(path)
+        assert back.feature_ids == rfm.feature_ids
+        assert back.builder_config == rfm.builder_config
+        for layer in ("locations", "values", "sigmas"):
+            assert getattr(back, layer).tobytes() == getattr(rfm, layer).tobytes()
+
+    def test_format_2_bytes(self):
+        # 3 x 3, sparse, feature ids out of order: the file lists them ascending
+        rfm = make_rfm([[0.0, 1.5], [-0.0, 2.0], [3.25, 1e-300]], ["b", "a", "c"],
+                       [[-60.0, np.nan, -70.5], [np.nan, np.nan, -0.0], [-61.0, -62.0, np.nan]],
+                       [[1.0, np.nan, 0.5], [np.nan, np.nan, 2.5], [0.75, 3.0, np.nan]])
+        config = json.dumps(BuilderConfig().to_dict())
+        assert rfm.to_json() == (
+            '{"format": 2, "config": ' + config + ', "features": ["a", "b", "c"], "points": ['
+            '{"x": 0.0, "y": 1.5, "f": [1, 2], "v": [-60.0, -70.5], "sigma": [1.0, 0.5]}, '
+            '{"x": -0.0, "y": 2.0, "f": [2], "v": [-0.0], "sigma": [2.5]}, '
+            '{"x": 3.25, "y": 1e-300, "f": [0, 1], "v": [-62.0, -61.0], "sigma": [3.0, 0.75]}]}')
+
     @staticmethod
     def _reference_to_json(rfm):
-        """The per-entry serializer ``to_json`` replaced, kept as its oracle."""
+        """The format-1 serializer, one object per entry, kept as the oracle
+        of the documents that format-1 maps hold."""
         points = []
         for j in range(rfm.n_points):
             x, y = rfm.locations[j]
@@ -161,8 +186,26 @@ class TestExtendedRfmSerialization:
             points.append({"x": float(x), "y": float(y), "entries": entries})
         return json.dumps({"config": rfm.builder_config.to_dict(), "points": points})
 
-    @pytest.mark.parametrize("density", [0.3, 0.8, 1.0])
-    def test_to_json_equals_per_entry_serializer(self, rng, density):
+    @staticmethod
+    def _per_entry_format_2(rfm):
+        """A per-entry format-2 serializer, kept as the oracle of ``to_json``."""
+        features = sorted(rfm.feature_ids)
+        index = {fid: i for i, fid in enumerate(features)}
+        points = []
+        for j in range(rfm.n_points):
+            x, y = rfm.locations[j]
+            entries = sorted(rfm.entries_at(j), key=lambda e: index[e.feature])
+            points.append({"x": float(x), "y": float(y),
+                           "f": [index[e.feature] for e in entries],
+                           "v": [e.value for e in entries],
+                           "sigma": [e.sigma for e in entries]})
+        return json.dumps({"format": 2, "config": rfm.builder_config.to_dict(),
+                           "features": features, "points": points})
+
+    @staticmethod
+    def _awkward_map(rng, density):
+        """A random map with escaped and unsorted feature ids, signed zeros
+        and extreme coordinates."""
         rfm = random_rfm(rng, 40, 6, density=density)
         ids = ['a"quote', "back\\slash", "new\nline", "caf\u00e9", "\u2603", "tab\t"]
         locations = rfm.locations.copy()
@@ -171,10 +214,32 @@ class TestExtendedRfmSerialization:
         values[np.isfinite(values) & (rng.random(values.shape) < 0.1)] = -0.0
         values[0, 0], values[1, 1] = -0.0, 0.0
         sigmas = np.where(np.isfinite(values), rng.uniform(0.5, 9.0, values.shape), np.nan)
-        rfm = make_rfm(locations, ids, values, sigmas)
+        return make_rfm(locations, ids, values, sigmas)
+
+    @pytest.mark.parametrize("density", [0.3, 0.8, 1.0])
+    def test_to_json_equals_per_entry_serializer(self, rng, density):
+        rfm = self._awkward_map(rng, density)
         text = rfm.to_json()
-        assert text == self._reference_to_json(rfm)
-        assert '"v": -0.0' in text and '"x": -0.0' in text
+        assert text == self._per_entry_format_2(rfm)
+        assert '"x": -0.0' in text and ('[-0.0' in text or ', -0.0' in text)
+
+    @pytest.mark.parametrize("density", [0.3, 0.8, 1.0])
+    def test_format_1_document_loads_to_the_same_map(self, rng, density):
+        rfm = self._awkward_map(rng, density)
+        one = ExtendedRfm.from_json(self._reference_to_json(rfm))
+        two = ExtendedRfm.from_json(rfm.to_json())
+        assert one.feature_ids == two.feature_ids == tuple(sorted(rfm.feature_ids))
+        assert one.builder_config == two.builder_config == rfm.builder_config
+        for layer in ("locations", "values", "sigmas"):
+            assert getattr(one, layer).tobytes() == getattr(two, layer).tobytes()
+        assert one.to_json() == two.to_json()
+
+    @pytest.mark.parametrize("fmt", [1, 3, "2", 2.0, True, None])
+    def test_unknown_format_rejected(self, fmt):
+        obj = json.loads(make_rfm([[0.0, 0.0]], ["a"], [[-60.0]]).to_json())
+        obj["format"] = fmt
+        with pytest.raises(ValueError, match=f"unknown map format {fmt!r}"):
+            ExtendedRfm.from_json(json.dumps(obj))
 
     def test_loads_map_with_dropped_config_key(self):
         # maps written before the builder's grid export knob was removed
@@ -335,9 +400,11 @@ class TestExtendedRfmValidation:
         assert f"feature 'a' at reference point 1 is {bad}; every sigma" in str(err.value)
 
     def test_from_json_rejects_empty_points(self):
-        text = json.dumps({"config": BuilderConfig().to_dict(), "points": []})
-        with pytest.raises(ValueError, match="no reference points"):
-            ExtendedRfm.from_json(text)
+        config = BuilderConfig().to_dict()
+        for doc in ({"config": config, "points": []},
+                    {"format": 2, "config": config, "features": ["a"], "points": []}):
+            with pytest.raises(ValueError, match="no reference points"):
+                ExtendedRfm.from_json(json.dumps(doc))
 
     def test_rejects_zero_points(self):
         with pytest.raises(ValueError, match="no reference points"):

@@ -604,13 +604,6 @@ class TestKSmallest:
             for k in range(1, n + 1):
                 assert np.array_equal(_k_smallest(d, k), order[:k])
 
-    def test_nan_sorts_last(self):
-        for d in (np.array([3.0, np.nan, 1.0, 3.0, np.nan, 0.0]),
-                  np.array([np.nan, 2.0, np.nan]), np.full(3, np.nan)):
-            order = np.argsort(d, kind="stable")
-            for k in range(1, len(d) + 1):
-                assert np.array_equal(_k_smallest(d, k), order[:k])
-
 
 class TestLocateBatch:
     def _instance(self, rng):
