@@ -88,7 +88,12 @@ def loop_diameters(estimates: Sequence[PositionEstimate]) -> list[float]:
 def opt_errors(estimates: Sequence[PositionEstimate],
                truth: Sequence[Location]) -> list[float]:
     """Per query, the error of the searched location closest to ground truth;
-    a lower bound on what any selection rule over the path could achieve."""
+    a lower bound on what any selection rule over the path could achieve.
+
+    From a kNN start every iterative estimate is a path point, so this
+    bounds its error. From a random start, a search that ends unresolved
+    reports its kNN estimate, which need not lie on the path.
+    """
     return [min(p.distance_to(loc) for p in est.path) for est, loc in _pairs(estimates, truth)]
 
 
@@ -130,8 +135,8 @@ def compare_report(runs: Mapping[str, Sequence[PositionEstimate]],
     """Circular error summary for several methods over one query set.
 
     When a run named ``iterative`` is present, an extra "opt" row reports
-    its per-query best searched location, the selection lower bound; no
-    run may be named "opt".
+    its per-query best searched location, the selection lower bound (see
+    :func:`opt_errors`); no run may be named "opt".
     """
     if not runs:
         raise EmptyInput("no runs to compare")

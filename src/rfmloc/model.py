@@ -595,15 +595,23 @@ class ExtendedRfm:
 _NUMBER = frozenset(_JSON_TYPES[float])
 
 
+def _finite_number(c) -> bool:
+    """Whether ``c`` is a JSON number with a finite float value; an int too
+    large for a float has none."""
+    try:
+        return type(c) in _NUMBER and math.isfinite(c)
+    except OverflowError:
+        return False
+
+
 def _check_coordinates(j: int, x, y) -> None:
-    if not all(type(c) in _NUMBER and math.isfinite(c) for c in (x, y)):
+    if not (_finite_number(x) and _finite_number(y)):
         raise ValueError(f"reference point {j} has x={x!r}, y={y!r}; "
                          f"coordinates must be finite numbers")
 
 
 def _check_entry(j: int, fid, v, sigma) -> None:
-    if not (type(fid) is str and fid and type(v) in _NUMBER and type(sigma) in _NUMBER
-            and math.isfinite(v) and math.isfinite(sigma)):
+    if not (type(fid) is str and fid and _finite_number(v) and _finite_number(sigma)):
         raise ValueError(f"feature {fid!r} at reference point {j} has v={v!r}, "
                          f"sigma={sigma!r}; feature ids must be non-empty "
                          f"strings and both values finite numbers")

@@ -7,11 +7,11 @@ previous estimate yields fresh softmax weights for the next lookup, until
 the estimate converges, revisits an earlier one (a loop), or the iteration
 budget runs out. A search compares its observation with the map's value
 layer once, into weight-free dissimilarity cells, and only re-weights
-them, for its kNN start and each iteration. The weights at a location,
-and its feature set for the fallback below, come from the map's memo of
-weight rows, which every search shares. Tight loops resolve to a robust
-center of the cycle; everything else falls back to the searched location
-whose expected feature set best matches the observation.
+them, for its kNN estimate and each iteration. The weights at a location
+come from the map's memo of weight rows, which every search shares. Tight
+loops resolve to a robust center of the cycle; everything else falls back
+to the search's unweighted kNN estimate, the start of a kNN-initialized
+search.
 
 A lookup ranks finite values only, and raises ``OverflowError`` rather
 than rank what overflowed. A feature distance too large for a float (a
@@ -37,8 +37,8 @@ import numpy as np
 from rfmloc import _kernels
 # softmax_weights is not called here: rfmbench's tracer wraps it in this
 # module's namespace
-from rfmloc.dissim import (EmptyComparison, WeightVector, feature_distance, mji,
-                           softmax_row, softmax_weights)
+from rfmloc.dissim import (EmptyComparison, WeightVector, feature_distance, softmax_row,
+                           softmax_weights)
 from rfmloc.model import (ExtendedRfm, FeatureId, Fingerprint, Location,
                           PositionEstimate, PositioningConfig, Termination)
 
@@ -59,7 +59,6 @@ class _WeightRow(NamedTuple):
 
     weights: np.ndarray  # ``min_weight`` where the location has no entry
     min_weight: float
-    features: np.ndarray  # indices of the features with an entry there
 
 
 def _weight_row(rfm: ExtendedRfm, loc: Location, cfg: PositioningConfig) -> _WeightRow:
@@ -69,7 +68,7 @@ def _weight_row(rfm: ExtendedRfm, loc: Location, cfg: PositioningConfig) -> _Wei
         features, _, sigmas = rfm.query_arrays(loc)
         weights, low = softmax_row(sigmas, features, len(rfm.feature_ids), cfg.beta,
                                    cfg.weight_form)
-        return _WeightRow(weights, low, features)
+        return _WeightRow(weights, low)
 
     return rfm.remembered_row((loc, cfg.beta, cfg.weight_form), compute)
 
@@ -285,42 +284,29 @@ def _concentration_step(pts: np.ndarray, subset: np.ndarray, h: int) -> np.ndarr
 
 
 def resolve_state(state: Termination, path: Sequence[Location],
-                  loop_points: Sequence[Location] | None, obs: Fingerprint,
-                  rfm: ExtendedRfm, cfg: PositioningConfig) -> PositionEstimate:
+                  loop_points: Sequence[Location] | None, fallback: Location,
+                  query_id: int, cfg: PositioningConfig) -> PositionEstimate:
     """Turn a terminated search into the final estimate.
 
     Converging keeps the last estimate. A loop that is both long enough
     and tight enough resolves to the robust center of its points; any
-    other loop, and the exhausted-budget state, fall back to the searched
-    location whose map feature set best matches the observation (ties go
-    to the earliest), reported with the max-budget flag. The fallback
-    takes each point's feature set from the map's memo of weight rows.
+    other loop, and the exhausted-budget state, resolve to ``fallback``,
+    the search's unweighted kNN estimate, reported with the max-budget
+    flag.
     """
     path = tuple(path)
     iterations = len(path) - 1
     if state is Termination.CONVERGING:
         return PositionEstimate(path[-1], Termination.CONVERGING, iterations, path,
-                                None, obs.id)
+                                None, query_id)
     kept_loop = tuple(loop_points) if loop_points else None
     if (state is Termination.LOOPING and kept_loop is not None
             and len(kept_loop) >= cfg.loop_min_points
             and loop_diameter(kept_loop) <= cfg.loop_max_diameter):
         center = mcd_center(kept_loop)
         return PositionEstimate(center, Termination.LOOPING, iterations, path,
-                                kept_loop, obs.id)
-    # the observed features as map indices, the ones outside the map as their
-    # ids: the same overlap sizes as the feature ids give, with no id looked
-    # up per path point
-    index = rfm.feature_index
-    obs_attrs = frozenset(index.get(a, a) for a in obs.features)
-
-    def overlap(p: Location) -> float:
-        return mji(obs_attrs, frozenset(_weight_row(rfm, p, cfg).features.tolist()))
-
-    # max keeps the first of equal overlaps; a featureless observation's
-    # overlap is undefined everywhere, so it keeps the first point
-    best = max(path, key=overlap) if obs_attrs else path[0]
-    return PositionEstimate(best, Termination.MAX, iterations, path, kept_loop, obs.id)
+                                kept_loop, query_id)
+    return PositionEstimate(fallback, Termination.MAX, iterations, path, kept_loop, query_id)
 
 
 def iterate_locate(obs: Fingerprint, rfm: ExtendedRfm,
@@ -328,7 +314,7 @@ def iterate_locate(obs: Fingerprint, rfm: ExtendedRfm,
     """Iterative weighted positioning with guaranteed termination.
 
     The observation's weight-free cells are computed once, and the kNN
-    start and every round re-weight them. Each round takes the softmax
+    estimate and every round re-weight them. Each round takes the softmax
     weights of the spread layer at the previous estimate and repeats the
     lookup under them. Termination is total: converging, looping, or the
     iteration budget, whichever comes first. The spread layer is smoothed
@@ -346,10 +332,8 @@ def iterate_locate(obs: Fingerprint, rfm: ExtendedRfm,
         # every cell and outside distance adds to these with weight 1, so an
         # overflowed one leaves inf or NaN here
         unweighted = _finite(weighted(np.ones(len(rfm.feature_ids)), 1.0))
-        if cfg.init_mode == "knn":
-            start = _nearest(unweighted, rfm, cfg.k)
-        else:
-            start = _random_start(obs, rfm, cfg)
+        nearest = _nearest(unweighted, rfm, cfg.k)
+        start = nearest if cfg.init_mode == "knn" else _random_start(obs, rfm, cfg)
         path: list[Location] = [start]
         estimates: list[Location] = []
         state: Termination | None = None
@@ -362,7 +346,7 @@ def iterate_locate(obs: Fingerprint, rfm: ExtendedRfm,
             if state is not None:
                 break
     loop_points = _extract_loop(estimates) if state is Termination.LOOPING else None
-    return resolve_state(state, path, loop_points, obs, rfm, cfg)
+    return resolve_state(state, path, loop_points, nearest, obs.id, cfg)
 
 
 def locate_batch(observations: Sequence[Fingerprint], rfm: ExtendedRfm,

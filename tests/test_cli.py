@@ -604,6 +604,16 @@ def _bad_input(case, workdir, scored, tmp):
         "map-x-nan": lambda: (locate(rfm=bad_point("x", math.nan)),
                               f"{tmp / 'map.json'}: invalid reference map: ",
                               "reference point 3"),
+        # ints too large for a float: not finite, so the point is named
+        "map-v-too-large-an-int": lambda: (locate(rfm=bad_map(set_in("v", 0, 10 ** 400))),
+                                           f"{tmp / 'map.json'}: invalid reference map: ",
+                                           "reference point 3"),
+        "map-x-too-large-an-int": lambda: (locate(rfm=bad_point("x", 10 ** 400)),
+                                           f"{tmp / 'map.json'}: invalid reference map: ",
+                                           "reference point 3"),
+        "map-format-1-sigma-too-large-an-int": lambda: (
+            locate(rfm=bad_format1_map(set_first("sigma", 10 ** 400))),
+            f"{tmp / 'map.json'}: invalid reference map: ", "reference point 3"),
         "map-features-unsorted": lambda: (locate(rfm=bad_map(swap_first_features)),
                                           f"{tmp / 'map.json'}: invalid reference map: ",
                                           "strictly ascending"),
@@ -690,7 +700,8 @@ def _bad_input(case, workdir, scored, tmp):
     "map-format-1-x-string", "map-index-out-of-range", "map-index-negative",
     "map-index-too-large-an-int", "map-index-twice", "map-index-bool", "map-index-float",
     "map-lengths-differ", "map-f-not-a-list", "map-v-string", "map-sigma-true", "map-v-nan",
-    "map-sigma-infinity", "map-x-nan", "map-features-unsorted", "map-features-twice",
+    "map-sigma-infinity", "map-x-nan", "map-v-too-large-an-int", "map-x-too-large-an-int",
+    "map-format-1-sigma-too-large-an-int", "map-features-unsorted", "map-features-twice",
     "map-features-not-strings", "map-feature-empty", "map-format-3"])
 def test_bad_input_exits_1_with_one_error_line(workdir, scored, tmp_path, capsys, case):
     argv, prefix, phrase = _bad_input(case, workdir, scored, tmp_path)

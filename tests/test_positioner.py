@@ -12,8 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from rfmloc.builder import BuilderConfig
-from rfmloc.dissim import WeightVector, mji, softmax_weights, weighted_cdm
+from rfmloc.dissim import WeightVector, softmax_weights, weighted_cdm
 from rfmloc.model import (ExtendedRfm, Fingerprint, Location, PositioningConfig, RfmEntry,
                           Termination, estimate_to_obj)
 from rfmloc import _kernels
@@ -210,14 +209,14 @@ class TestMcdCenter:
 
 
 class TestResolveState:
-    def _tiny_rfm(self):
-        return make_rfm([[0.0, 0.0], [5.0, 0.0]], ["a"], [[-60.0], [-70.0]])
+    FALLBACK = Location(7.0, 7.0)
+
+    def resolve(self, state, path, loop):
+        return resolve_state(state, path, loop, self.FALLBACK, 4, CFG)
 
     def test_converging_keeps_last(self):
-        rfm = self._tiny_rfm()
         path = locs((0, 0), (1, 1), (1, 1))
-        est = resolve_state(Termination.CONVERGING, path, None,
-                            make_fp({"a": -60.0}, fp_id=4), rfm, CFG)
+        est = self.resolve(Termination.CONVERGING, path, None)
         assert est.location == Location(1.0, 1.0)
         assert est.tf is Termination.CONVERGING
         assert est.iterations == 2
@@ -225,63 +224,37 @@ class TestResolveState:
         assert est.query_id == 4
 
     def test_tight_long_loop_resolves_to_robust_center(self):
-        rfm = self._tiny_rfm()
         loop = locs((1, 1), (1.002, 1), (1, 1.002), (1.002, 1.002))
         path = locs((0, 0)) + loop + locs((1, 1))
-        est = resolve_state(Termination.LOOPING, path, loop,
-                            make_fp({"a": -60.0}), rfm, CFG)
+        est = self.resolve(Termination.LOOPING, path, loop)
         assert est.tf is Termination.LOOPING
         assert est.loop_points == tuple(loop)
         assert est.location.x == pytest.approx(1.001, abs=1e-9)
 
-    def test_short_loop_falls_back_to_best_overlap(self):
-        rfm = self._tiny_rfm()
+    def test_short_loop_resolves_to_the_fallback(self):
         loop = locs((1, 1), (2, 2))
         path = locs((0, 0)) + loop + locs((1, 1))
-        est = resolve_state(Termination.LOOPING, path, loop,
-                            make_fp({"a": -60.0}), rfm, CFG)
+        est = self.resolve(Termination.LOOPING, path, loop)
+        assert est.location == self.FALLBACK
         assert est.tf is Termination.MAX
         assert est.loop_points == tuple(loop)  # recorded for diagnostics
 
     def test_wide_loop_falls_back(self):
-        rfm = self._tiny_rfm()
         loop = locs((0, 0), (3, 0), (0, 3), (3, 3))  # 4 points but diameter >> cap
         path = locs((9, 9)) + loop + locs((0, 0))
-        est = resolve_state(Termination.LOOPING, path, loop,
-                            make_fp({"a": -60.0}), rfm, CFG)
+        est = self.resolve(Termination.LOOPING, path, loop)
+        assert est.location == self.FALLBACK
         assert est.tf is Termination.MAX
 
-    def test_max_picks_best_feature_overlap_earliest_tie(self):
-        # reference map where points carry different feature sets
-        rfm = make_rfm([[0.0, 0.0], [50.0, 0.0]], ["a", "b"],
-                       [[-60.0, np.nan], [np.nan, -70.0]])
-        obs = make_fp({"b": -70.0})
-        # path visits the a-side first, then the b-side twice
-        path = locs((0, 0), (50, 0), (50, 0.0001))
-        est = resolve_state(Termination.MAX, path, None, obs, rfm, CFG)
-        assert est.location == Location(50.0, 0.0)  # earliest of the tied pair
-        assert est.tf is Termination.MAX
-
-    def test_max_scores_the_overlap_of_feature_ids(self, rng):
-        # the rule on the queried entry lists' ids, a feature outside the map included
-        for _ in range(40):
-            rfm = random_rfm(rng, n_points=12, n_features=6, density=0.4,
-                             sigma_range=(0.5, 6.0), config=BuilderConfig(bandwidth=0.5))
-            features = {f: -60.0 for f in rfm.feature_ids if rng.random() < 0.5}
-            features["02:ff:00:00:00:00"] = -70.0
-            obs = make_fp(features)
-            path = [rfm.location_at(int(j)) for j in rng.integers(rfm.n_points, size=6)]
-            scores = [mji(frozenset(features), frozenset(e.feature for e in rfm.query(p)))
-                      for p in path]
-            est = resolve_state(Termination.MAX, path, None, obs, rfm, CFG)
-            assert est.location == path[scores.index(max(scores))]
-
-    def test_featureless_observation_keeps_earliest(self):
-        rfm = self._tiny_rfm()
+    def test_max_resolves_to_the_fallback(self):
         path = locs((2, 2), (3, 3), (4, 4))
-        est = resolve_state(Termination.MAX, path, None, make_fp({}), rfm, CFG)
-        assert est.location == Location(2.0, 2.0)
+        est = self.resolve(Termination.MAX, path, None)
+        assert est.location == self.FALLBACK  # not a path point
         assert est.tf is Termination.MAX
+        assert est.iterations == 2
+        assert est.path == tuple(path)
+        assert est.loop_points is None
+        assert est.query_id == 4
 
 
 class TestIterateLocate:
@@ -344,12 +317,10 @@ def fill_memo(rfm):
         rfm.remembered_row(("filler", i), lambda: (np.zeros(1),))
 
 
-def smoothed_by(estimates, queries):
+def smoothed_by(estimates):
     """The locations a batch's searches need the spread layer at: every
-    weighted path point, and the whole path of an overlap fallback."""
-    return {p for est, obs in zip(estimates, queries)
-            for p in (est.path if est.tf is Termination.MAX and obs.features
-                      else est.path[:-1])}
+    weighted path point, which is each path but its last point."""
+    return {p for est in estimates for p in est.path[:-1]}
 
 
 class TestQueryReuse:
@@ -364,7 +335,7 @@ class TestQueryReuse:
         monkeypatch.setattr(ExtendedRfm, "query_arrays", counting_query)
         # k = 1: every searched location is a reference point, so a cold memo never fills
         cfg = PositioningConfig(max_iterations=4)
-        fallbacks = 0
+        unresolved = 0
         for _ in range(40):
             rfm = random_rfm(rng, n_points=int(rng.integers(2, 25)),
                              n_features=int(rng.integers(1, 7)),
@@ -374,11 +345,10 @@ class TestQueryReuse:
                        for i in range(5)]
             asked.clear()
             cold = locate_batch(queries, rfm, cfg)
-            needed = smoothed_by(cold, queries)
+            needed = smoothed_by(cold)
             assert len(asked) == len(set(asked))  # each once across the whole batch
             assert set(asked) == needed
-            fallbacks += sum(e.tf is Termination.MAX and bool(q.features)
-                             for e, q in zip(cold, queries))
+            unresolved += sum(e.tf is Termination.MAX for e in cold)
             full = same_map(rfm)
             fill_memo(full)
             asked.clear()
@@ -387,7 +357,7 @@ class TestQueryReuse:
             asked.clear()
             assert locate_batch(queries, rfm, cfg) == cold
             assert asked == []  # warm: the cold batch left every row it needed
-        assert fallbacks > 0
+        assert unresolved > 0
 
 
 class TestWeightMemo:
@@ -477,10 +447,9 @@ class TestWeightMemo:
         iterate_locate(obs, rfm, CFG)
         assert rfm._rows
         for row in rfm._rows.values():
-            for part in (row.weights, row.features):
-                assert not part.flags.writeable
-                with pytest.raises(ValueError):
-                    part[0] = part[0]
+            assert not row.weights.flags.writeable
+            with pytest.raises(ValueError):
+                row.weights[0] = row.weights[0]
 
 
 class TestKernelConstants:
@@ -548,7 +517,7 @@ def reference_search(obs, rfm, cfg):
         if state is not None:
             break
     loop = _extract_loop(estimates) if state is Termination.LOOPING else None
-    return resolve_state(state, path, loop, obs, rfm, cfg)
+    return resolve_state(state, path, loop, knn_locate(obs, rfm, cfg), obs.id, cfg)
 
 
 class TestSearchSteps:
@@ -564,6 +533,22 @@ class TestSearchSteps:
             seen.add((est.tf, est.iterations > 2))
         # searches that converge and that fall back, some of them past two steps
         assert {(Termination.CONVERGING, True), (Termination.MAX, True)} <= seen
+
+    def test_an_unresolved_search_ends_at_its_knn_estimate(self, rng):
+        ended = {"knn": 0, "random": 0}
+        off_path = 0
+        for obs, rfm, cfg in sparse_search_cases(rng, 120):
+            est = iterate_locate(obs, rfm, cfg)
+            if est.tf is not Termination.MAX:
+                continue
+            nearest = knn_locate(obs, rfm, cfg)
+            assert est.location == nearest
+            if cfg.init_mode == "knn":
+                assert nearest == est.path[0]
+            else:
+                off_path += nearest not in est.path  # no choice among path points finds it
+            ended[cfg.init_mode] += 1
+        assert min(ended.values()) > 0 and off_path > 0
 
     def test_each_weighting_is_the_public_dissimilarity(self, rng):
         # bit for bit, the constant of the feature outside the map included
