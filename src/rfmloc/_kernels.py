@@ -23,9 +23,25 @@ its column, so it takes ``alpha1`` times that column's term, written in
 by flat index. ``cdm_reduce`` applies one weight vector to the cells as a
 matrix-vector product. The iterative search changes only the weights, so
 it reduces the same cells once per iteration.
+
+At p = 2 the cells need not be formed at all. With ``c`` a constant per
+column, ``P`` the presence mask and ``R = P * (ref - c)`` (0 where
+absent), an observation ``f`` (``missing_value`` where unmeasured, less
+``c``: ``o``), its column scale ``s`` (1 where observed, else ``alpha2``)
+and its absent-cell term ``a = alpha1 * (f - missing_value) ** 2`` give,
+under weights ``w`` and with ``u = w * s``,
+
+    d = P @ (u * o**2 - w * a) - 2 * R @ (u * o) + (R * R) @ u + w . a + base,
+
+since a present cell is ``s * (o - R) ** 2`` and an absent one ``a``.
+``expansion`` builds the map's side ``[P | R | R * R]`` once, and
+``expanded_cdm`` scores a block of observations against it with one
+matrix product, called in slices of the map's rows.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +49,11 @@ from rfmloc.dissim import feature_distance
 
 # rfmbench stamps this into its records and compares only records that agree on it
 BACKEND = "numpy"
+# multiply-adds in one product call of expanded_cdm: OpenBLAS runs a call of
+# at most 2**18 on the calling thread, while a threaded call leaves its
+# workers spinning for about 0.1 s after the last one, a core taken from
+# whatever the caller runs next
+_BLAS_CALL = 1 << 18
 
 
 def cdm_cells(ref: np.ndarray, absent: np.ndarray, columns: np.ndarray, obs: np.ndarray,
@@ -66,3 +87,70 @@ def cdm_batch(ref: np.ndarray, obs: np.ndarray, weights: np.ndarray,
     cells = cdm_cells(ref, absent, absent % ref.shape[1], obs, alpha1, alpha2,
                       missing_value, p)
     return cdm_reduce(cells, weights, base)
+
+
+class Expansion(NamedTuple):
+    """The map's side of the p = 2 expansion."""
+
+    layers: np.ndarray  # [P | R | R * R], n_points x 3 n_features
+    center: np.ndarray  # c, the midrange of each column's present values (0 if none)
+    spread: np.ndarray  # the largest R * R of each column
+    reach: float  # the largest |R|
+
+
+def expansion(ref: np.ndarray) -> Expansion:
+    """The expansion layers of the value layer ``ref`` (NaN absent). A
+    value too large for the expansion leaves a non-finite ``spread``."""
+    present = np.isfinite(ref)
+    lo = np.fmin.reduce(ref, axis=0)  # NaN only for a column with no value
+    center = np.where(present.any(axis=0), lo / 2 + np.fmax.reduce(ref, axis=0) / 2, 0.0)
+    centered = np.where(present, ref - center, 0.0)
+    squared = centered * centered
+    layers = np.concatenate([present.astype(float), centered, squared], axis=1)
+    return Expansion(layers, center, squared.max(axis=0, initial=0.0),
+                     float(np.abs(centered).max(initial=0.0)))
+
+
+def expanded_cdm(exp: Expansion, obs: np.ndarray, weights: np.ndarray, alpha1: float,
+                 alpha2: float, missing_value: float, base: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The p = 2 dissimilarities of a block of observations (the rows of
+    ``obs``, NaN unmeasured) under their own weight rows (each weight at
+    most 1) and constants, one row of values per observation; and per
+    observation its magnitude ``M`` and its reach, the largest of its |o|
+    and the map's |R|.
+
+    ``M`` is a sum over columns that bounds, in every row of the map, the
+    sum of the absolute values of the terms of both this computation and
+    :func:`cdm_reduce` over :func:`cdm_cells`. A present cell's terms sum
+    in magnitude to at most ``u (|o| + |R|)**2 + w a <= 2 u (o**2 + R**2)
+    + w a``, its weighted cell is ``u (o - R)**2`` under the same bound,
+    and ``R**2`` is at most its column's ``spread``; an absent cell is
+    ``w a``. So ``M = sum(2 u (o**2 + spread) + 2 w a) + base`` holds for
+    every row: every term is non-negative but the cross term, whose
+    magnitude is counted.
+
+    ``M`` is inf where a cell could overflow before it is weighted, which
+    ``M`` does not see where weights or scales are small: the
+    same argument bounds each unweighted cell, its square and each
+    factor of the expansion by ``max(1, s) 2 (o**2 + spread)`` or
+    ``max(1, alpha1) (f - missing_value)**2``, and their sum must be finite.
+    """
+    present = np.isfinite(obs)
+    filled = np.where(present, obs, missing_value)
+    scaled = weights * np.where(present, 1.0, alpha2)
+    to_missing = feature_distance(filled, missing_value, 2.0)
+    absent = weights * (alpha1 * to_missing)
+    o = filled - exp.center
+    oo = o * o
+    x = np.concatenate([scaled * oo - absent, -2.0 * (scaled * o), scaled], axis=1)
+    values = np.empty((len(x), len(exp.layers)))
+    rows = max(1, _BLAS_CALL // max(1, x.size))
+    for i in range(0, len(exp.layers), rows):
+        np.matmul(x, exp.layers[i:i + rows].T, out=values[:, i:i + rows])
+    values += (absent.sum(axis=1) + base)[:, None]
+    magnitude = 2.0 * (scaled * (oo + exp.spread) + absent).sum(axis=1) + base
+    cells = (2.0 * np.where(present, 1.0, max(1.0, alpha2)) * (oo + exp.spread)
+             + max(1.0, alpha1) * to_missing).sum(axis=1)
+    magnitude[~np.isfinite(2.0 * cells)] = np.inf
+    return values, magnitude, np.maximum(np.abs(o).max(axis=1, initial=0.0), exp.reach)

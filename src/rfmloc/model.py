@@ -245,6 +245,14 @@ class PositioningConfig:
     published. Random initialization derives a per-query stream from
     ``init_seed`` and the query id, so batch order and threading never
     change results.
+
+    At the defaults (``k = 1``, ``loop_max_diameter = 0.01``) the loop
+    rule and ``mcd_center`` never act unless two reference points lie
+    within 0.01 m of each other: at k = 1 every iterate is a reference
+    location, the points of a loop are distinct iterates (a revisit ends
+    the search first), and a loop resolves to its center only if its
+    diameter is at most ``loop_max_diameter``. Every other loop resolves
+    to the search's kNN estimate.
     """
 
     alpha1: float = 3.0

@@ -236,6 +236,34 @@ class TestLocate:
         assert err.count("\n") == 1
         assert not (tmp_path / "o.jsonl").exists()
 
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    @pytest.mark.parametrize("method", ["iterative", "knn", "cdm"])
+    def test_the_first_failing_query_of_a_batch_is_reported(self, workdir, tmp_path, capsys,
+                                                            method, threads):
+        holey = tmp_path / "holey.json"
+        obj = json.loads((workdir / "map.json").read_text())
+        obj["points"][0].update(f=[], v=[], sigma=[])
+        holey.write_text(json.dumps(obj))
+        lines = (workdir / "test.jsonl").read_text().splitlines()[:30]
+        records = [json.loads(line) for line in lines]
+        for empty_at, huge_at in ((7, 20), (20, 7)):
+            batch = [dict(r) for r in records]
+            batch[empty_at]["features"] = {}  # against a point without features
+            batch[huge_at]["features"] = dict(batch[huge_at]["features"], unseen=1e200)
+            obs = tmp_path / f"batch-{empty_at}.jsonl"
+            obs.write_text("".join(json.dumps(r) + "\n" for r in batch))
+            code = run(["locate", "--rfm", str(holey), "--obs", str(obs),
+                        "--out", str(tmp_path / "o.jsonl"), "--method", method,
+                        "--threads", threads])
+            assert code == 1
+            err = capsys.readouterr().err
+            if empty_at < huge_at:
+                assert err.startswith(f"error: {obs}: query {batch[empty_at]['id']} ")
+            else:
+                assert err == (f"error: {obs}: a feature distance overflows at "
+                               "minkowski_p = 2.0\n")
+            assert not (tmp_path / "o.jsonl").exists()
+
     def test_bad_observation_file_exits_1(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": 0, "x": null, "y": null, "features": {"a": -60}}\n'

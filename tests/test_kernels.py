@@ -7,6 +7,7 @@ import pytest
 
 from rfmloc import _kernels
 from rfmloc.dissim import feature_distance
+from rfmloc.positioner import _gamma
 from tests.conftest import random_rfm
 
 GAMMA = -110.0
@@ -194,3 +195,84 @@ class TestConstants:
 class TestSelection:
     def test_module_exposes_backend_name(self):
         assert _kernels.BACKEND == "numpy"
+
+
+def expansion_case(rng, n_obs=6, scale=1.0):
+    """A sparse p = 2 case for a block of observations, each with its own
+    weights and constant, values multiplied by ``scale``."""
+    ref, _, _, a1, a2, gamma, _, _ = random_case(rng)
+    ref = ref * scale
+    m = ref.shape[1]
+    obs = rng.uniform(-105, -40, size=(n_obs, m)) * scale
+    obs[rng.random(size=obs.shape) < 0.4] = np.nan
+    weights = rng.uniform(0.0, 1.0, size=(n_obs, m))
+    weights[0] = 1.0  # unit weights, as a search's first lookup
+    base = rng.uniform(0, 100, size=n_obs)
+    return ref, obs, weights, a1, a2, gamma, base
+
+
+def alone(ref, obs, weights, a1, a2, gamma, base):
+    """Each observation's values as a search computes them alone, from its
+    own cells."""
+    rows = []
+    for o, w, b in zip(obs, weights, base):
+        rows.append(_kernels.cdm_reduce(cells_of(ref, o, a1, a2, gamma, 2.0), w, b))
+    return np.array(rows)
+
+
+class TestExpansion:
+    def test_values_lie_within_the_bound_of_each_search_alone(self, rng):
+        gaps = []
+        for _ in range(200):
+            ref, obs, weights, a1, a2, gamma, base = expansion_case(rng)
+            f = ref.shape[1]
+            exp = _kernels.expansion(ref)
+            values, magnitude, reach = _kernels.expanded_cdm(exp, obs, weights, a1, a2, gamma,
+                                                             base)
+            want = alone(ref, obs, weights, a1, a2, gamma, base)
+            assert values.shape == want.shape
+            # the values alone are sums of non-negative terms, each bounded by M
+            assert (want <= magnitude[:, None]).all()
+            err = (_gamma(3 * f + 7) + _gamma(f + 5)) * magnitude
+            assert (np.abs(values - want) <= err[:, None]).all()
+            o = np.where(np.isfinite(obs), obs, gamma) - exp.center
+            assert (reach == np.maximum(np.abs(o).max(axis=1), exp.reach)).all()
+            gaps.append(np.abs(values - want).max() / err.max())
+        assert max(gaps) > 0  # the two computations do differ
+
+    def test_the_largest_cell_of_a_column_lies_at_its_extremes(self, rng):
+        for _ in range(200):
+            ref, obs, _, a1, a2, gamma, _ = expansion_case(rng, n_obs=1)
+            cells = cells_of(ref, obs[0], a1, a2, gamma, 2.0)
+            exp = _kernels.expansion(ref)
+            for j in range(ref.shape[1]):
+                present = np.flatnonzero(np.isfinite(ref[:, j]))
+                if not present.size:
+                    assert exp.spread[j] == 0.0
+                    continue
+                column = ref[present, j]
+                extremes = {column.min(), column.max()}
+                assert column[cells[present, j].argmax()] in extremes or np.ptp(
+                    cells[present, j]) == 0
+                centered = column - exp.center[j]
+                assert exp.spread[j] == (centered * centered).max()
+
+    def test_a_finite_magnitude_means_each_search_alone_is_finite(self, rng):
+        finite = overflowed = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(400):
+                scale = 10.0 ** rng.uniform(150, 154)
+                ref, obs, weights, a1, a2, gamma, base = expansion_case(rng, scale=scale)
+                # a scale of 0 or below 1 hides an unweighted cell that overflowed
+                a1, a2 = rng.choice([0.0, 1e-3, a1]), rng.choice([0.0, 1e-3, a2])
+                case = (ref, obs, weights, a1, a2, gamma, base)
+                _, magnitude, _ = _kernels.expanded_cdm(_kernels.expansion(case[0]), *case[1:])
+                want = alone(*case)
+                for row, m in zip(want, magnitude):
+                    if np.isfinite(2 * m):
+                        assert np.isfinite(row).all()
+                        finite += 1
+                    if not np.isfinite(row).all():
+                        assert not np.isfinite(2 * m)
+                        overflowed += 1
+        assert finite > 100 and overflowed > 100

@@ -12,12 +12,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from rfmloc.dissim import WeightVector, softmax_weights, weighted_cdm
-from rfmloc.model import (ExtendedRfm, Fingerprint, Location, PositioningConfig, RfmEntry,
-                          Termination, estimate_to_obj)
+from rfmloc import positioner
+from rfmloc.dissim import (EmptyComparison, WeightOverflow, WeightVector, softmax_weights,
+                           weighted_cdm)
+from rfmloc.model import (ExtendedRfm, Fingerprint, Location, PositionEstimate,
+                          PositioningConfig, RfmEntry, Termination, estimate_to_obj)
 from rfmloc import _kernels
-from rfmloc.positioner import (InsufficientPoints, _aligned, _cells, _extract_loop,
-                               _k_smallest, _outside_constant, _random_start, _weight_row,
+from rfmloc.positioner import (InsufficientPoints, _aligned, _cells, _certified_rows,
+                               _extract_loop, _k_smallest, _outside_constant, _random_start,
+                               _ranked, _weight_row,
                                detect_termination, dissimilarities, iterate_locate, knn_locate,
                                locate_batch, mcd_center, resolve_state)
 from tests.conftest import make_fp, make_rfm, random_rfm
@@ -647,3 +650,275 @@ class TestLocateBatch:
         rfm, queries = self._instance(rng)
         with pytest.raises(ValueError):
             locate_batch(queries, rfm, CFG, method="triangulate")
+
+
+def single_shot(obs, rfm, cfg, method):
+    """A kNN or CDM estimate spelled out with the public one-shot lookup."""
+    if method == "knn":
+        cfg = replace(cfg, alpha1=1.0, alpha2=1.0)
+    loc = knn_locate(obs, rfm, cfg)
+    return PositionEstimate(loc, Termination.CONVERGING, 0, (loc,), None, obs.id)
+
+
+def one_by_one(queries, rfm, cfg, method):
+    """Each query's estimate on its own, through the public lookups."""
+    if method == "iterative":
+        return [reference_search(q, rfm, cfg) for q in queries]
+    return [single_shot(q, rfm, cfg, method) for q in queries]
+
+
+def tie_heavy_case(rng, n_points=24, n_features=4):
+    """An integer-valued map whose points repeat a few value rows, so many
+    dissimilarities tie exactly, and integer queries on the same grid."""
+    rows = rng.integers(-9, -3, size=(14, n_features)).astype(float) * 10.0
+    values = rows[rng.integers(0, len(rows), size=n_points)]
+    values[:, 0][rng.random(n_points) < 0.3] = np.nan  # some points lack the first feature
+    sigmas = np.where(np.isfinite(values), rng.choice([0.5, 1.0, 2.0], size=values.shape),
+                      np.nan)
+    rfm = make_rfm(rng.uniform(0.0, 30.0, size=(n_points, 2)),
+                   [f"02:00:00:00:00:{i:02x}" for i in range(n_features)], values, sigmas)
+    queries = [make_fp({f: float(rng.integers(-9, -4) * 10) for f in rfm.feature_ids
+                        if rng.random() < 0.8}, fp_id=i)
+               for i in range(10)]
+    return rfm, queries
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """Counts of the lookups a batch decides by the certificate and of those
+    it leaves to the search's own cells."""
+    counts = {"certified": 0, "undecided": 0, "products": 0}
+    certify = positioner._certified_rows
+
+    def counting(*args):
+        rows = certify(*args)
+        counts["products"] += 1
+        counts["undecided"] += sum(r is None for r in rows)
+        counts["certified"] += sum(r is not None for r in rows)
+        return rows
+
+    monkeypatch.setattr(positioner, "_certified_rows", counting)
+    return counts
+
+
+def small_products(monkeypatch, rfm, size):
+    """Products of ``size`` searches on ``rfm``, so a lookup takes several."""
+    monkeypatch.setattr(positioner, "_PRODUCT_BYTES", 8 * rfm.n_points * size)
+    monkeypatch.setattr(positioner, "_PRODUCT_SEARCHES", size)
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("method", ["iterative", "knn", "cdm"])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_tied_lookups_fall_back_to_each_search_alone(self, rng, monkeypatch, lookups,
+                                                         method, k, threads):
+        cfg = PositioningConfig(k=k, max_iterations=12)
+        for _ in range(6):
+            rfm, queries = tie_heavy_case(rng)
+            small_products(monkeypatch, rfm, 4)
+            batch = locate_batch(queries, rfm, cfg, method, threads=threads)
+            assert batch == one_by_one(queries, rfm, cfg, method)
+        # exact ties forced the fallback, and the rest were certified
+        assert lookups["undecided"] > 0 and lookups["certified"] > 0
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_a_batch_of_float_maps_is_certified_and_equals_each_search(self, rng, lookups, k):
+        for obs, rfm, cfg in sparse_search_cases(rng, 20):
+            cfg = replace(cfg, k=k)
+            queries = [obs] + [make_fp({f: float(rng.uniform(-105, -40))
+                                        for f in rfm.feature_ids if rng.random() < 0.6},
+                                       fp_id=i)
+                               for i in range(1, 12)]
+            for method in ("iterative", "knn", "cdm"):
+                assert locate_batch(queries, rfm, cfg, method) == one_by_one(queries, rfm, cfg,
+                                                                               method)
+        assert lookups["undecided"] == 0 and lookups["certified"] > 0
+
+    def test_other_minkowski_orders_take_the_path_of_each_search(self, rng, monkeypatch,
+                                                                 lookups):
+        built = []
+        expansion = _kernels.expansion
+
+        def counting(ref):
+            built.append(ref.shape)
+            return expansion(ref)
+
+        monkeypatch.setattr(_kernels, "expansion", counting)
+        for obs, rfm, cfg in sparse_search_cases(rng, 8):
+            queries = [obs, make_fp({rfm.feature_ids[0]: -70.0}, fp_id=1),
+                       make_fp({f: -55.0 for f in rfm.feature_ids}, fp_id=2)]
+            for p, products in ((1.5, 0), (2.0, None)):
+                lookups["products"] = 0
+                pcfg = replace(cfg, minkowski_p=p)
+                for method in ("iterative", "knn", "cdm"):
+                    assert (locate_batch(queries, rfm, pcfg, method)
+                            == one_by_one(queries, rfm, pcfg, method))
+                assert lookups["products"] > 0 if products is None else lookups["products"] == 0
+        assert built  # p = 2 only
+        # a batch of one never builds the expansion
+        built.clear()
+        locate_batch([obs], rfm, cfg)
+        assert built == []
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("tied", [False, True], ids=["float", "tied"])
+    def test_certified_rows_are_the_ranked_rows_of_the_cells(self, rng, k, tied):
+        certified = undecided = 0
+        for _ in range(40):
+            if tied:
+                rfm, _ = tie_heavy_case(rng, n_points=int(rng.integers(2, 40)))
+            else:
+                rfm = random_rfm(rng, n_points=int(rng.integers(2, 60)),
+                                 n_features=int(rng.integers(1, 9)),
+                                 density=float(rng.uniform(0.3, 1.0)), sigma_range=(0.5, 6.0))
+            cfg = PositioningConfig(k=k, alpha1=float(rng.uniform(0, 4)),
+                                    alpha2=float(rng.uniform(0, 4)))
+            exp = _kernels.expansion(rfm.values)
+            vecs, weights, bases, reference = [], [], [], []
+            for i in range(8):
+                if tied:
+                    value = lambda: float(rng.integers(-9, -3) * 10)  # noqa: E731
+                else:
+                    value = lambda: float(rng.uniform(-105, -40))  # noqa: E731
+                obs = make_fp({f: value() for f in rfm.feature_ids
+                               if rng.random() < 0.6} | {"zz": -80.0}, fp_id=i)
+                vec, outside = _aligned(obs, rfm, cfg)
+                here = Location(*rng.uniform(0.0, 30.0, size=2))
+                row = _weight_row(rfm, here, cfg) if i % 2 else None
+                w = np.ones(len(rfm.feature_ids)) if row is None else row.weights
+                low = 1.0 if row is None else row.min_weight
+                base = _outside_constant(outside, lambda _: low, cfg.alpha1)
+                d = _kernels.cdm_reduce(_cells(vec, rfm, cfg), w, base)
+                vecs.append(vec), weights.append(w), bases.append(base)
+                reference.append(_ranked(d, k))
+            values, magnitude, reach = _kernels.expanded_cdm(
+                exp, np.stack(vecs), np.stack(weights), cfg.alpha1, cfg.alpha2,
+                cfg.missing_value, np.array(bases))
+            for got, want in zip(_certified_rows(values, magnitude, reach,
+                                                 len(rfm.feature_ids), cfg), reference):
+                if got is None:
+                    undecided += 1
+                else:
+                    certified += 1
+                    assert got.tolist() == want.tolist()
+        if tied:
+            assert undecided > 0 and certified > 0
+        else:
+            assert certified > 0.95 * (certified + undecided)
+
+
+    def test_every_gap_among_the_k_and_past_them_must_exceed_the_bound(self):
+        # magnitude 1e4 over 2 features: the bound is about 1e-11
+        values = np.array([[1.0, 3.0, 3.0 + 1e-12, 9.0],  # the order of rows 1 and 2 is open
+                           [1.0, 3.0, 3.0 + 1e-8, 9.0],
+                           [4.0, 3.0, 3.0, 9.0],  # an exact tie first
+                           [1.0, 3.0, 5.0, 5.0 + 1e-12],  # the third place is open
+                           [1.0, 3.0, 5.0, 9.0]])
+        magnitude = np.array([1e4, 1e4, 1e4, 1e4, np.inf])
+        reach = np.full(5, 10.0)
+        got = {k: _certified_rows(values.copy(), magnitude, reach, 2, PositioningConfig(k=k))
+               for k in (1, 2, 3, 4, 5)}
+        as_lists = {k: [None if r is None else r.tolist() for r in rows]
+                    for k, rows in got.items()}
+        assert as_lists[1] == [[0], [0], None, [0], None]
+        assert as_lists[2] == [None, [0, 1], None, [0, 1], None]
+        assert as_lists[3] == [None, [0, 1, 2], None, None, None]
+        assert as_lists[4] == [None, [0, 1, 2, 3], None, None, None]
+        assert as_lists[5] == as_lists[4]  # k beyond the map ranks every row
+
+
+class TestBatchErrors:
+    def _queries(self, rng, rfm, n=9):
+        return [make_fp({f: float(rng.uniform(-100, -40)) for f in rfm.feature_ids
+                         if rng.random() < 0.8}, fp_id=i)
+                for i in range(n)]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("method", ["iterative", "knn", "cdm"])
+    def test_the_first_failing_query_in_input_order_raises(self, rng, monkeypatch, threads,
+                                                           method):
+        rfm = random_rfm(rng, n_points=12, n_features=4, density=0.8, sigma_range=(0.5, 4.0))
+        holey = make_rfm(rfm.locations, rfm.feature_ids,
+                         np.vstack([np.full((1, 4), np.nan), rfm.values[1:]]),
+                         np.vstack([np.full((1, 4), np.nan), rfm.sigmas[1:]]))
+        small_products(monkeypatch, holey, 2)
+        empty = make_fp({}, fp_id=100)  # no features, against a point without any
+        huge = make_fp({"zz": 1e200}, fp_id=101)  # its outside distance overflows
+        for empty_at, huge_at in ((1, 6), (6, 1), (0, 8), (8, 0), (3, 4)):
+            queries = self._queries(rng, holey)
+            queries[empty_at], queries[huge_at] = empty, huge
+            first = EmptyComparison if empty_at < huge_at else OverflowError
+            with pytest.raises(first) as raised:
+                locate_batch(queries, holey, CFG, method, threads=threads)
+            assert type(raised.value) is first
+            if first is EmptyComparison:
+                assert "query 100 " in str(raised.value)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_a_weight_overflow_raises_in_input_order(self, rng, monkeypatch, threads):
+        rfm = random_rfm(rng, n_points=12, n_features=4, density=0.8, sigma_range=(0.5, 4.0))
+        small_products(monkeypatch, rfm, 3)
+        cfg = PositioningConfig(beta=1e308)
+        huge = make_fp({"zz": 1e200}, fp_id=101)
+        for huge_at, first in ((0, OverflowError), (5, WeightOverflow)):
+            queries = self._queries(rng, rfm)
+            queries[huge_at] = huge
+            with pytest.raises(first) as raised:
+                locate_batch(queries, rfm, cfg, "iterative", threads=threads)
+            assert type(raised.value) is first
+        # no weighting in the single-shot methods
+        assert len(locate_batch(self._queries(rng, rfm), rfm, cfg, "cdm")) == 9
+
+    @pytest.mark.parametrize("method", ["iterative", "knn", "cdm"])
+    def test_the_column_extreme_check_keeps_every_overflow(self, rng, method):
+        # a column spanning +-7e153: a query at one end overflows against the other
+        # end, 1.4e154 ** 2 > 1.8e308; a query in the middle, or without the
+        # feature, stays finite, and a column spanning +-1e153 is certified
+        for span, certifiable in ((7e153, False), (1e153, True)):
+            rfm = random_rfm(rng, n_points=16, n_features=3, density=1.0,
+                             sigma_range=(0.5, 4.0))
+            values = rfm.values.copy()
+            values[:, 0] = np.linspace(-span, span, 16)
+            rfm = make_rfm(rfm.locations, rfm.feature_ids, values, rfm.sigmas)
+            fid = rfm.feature_ids[0]
+            queries = [make_fp({fid: v, rfm.feature_ids[1]: -60.0}, fp_id=i)
+                       for i, v in enumerate([-60.0, span / 3, -span / 2])]
+            queries.append(make_fp({rfm.feature_ids[2]: -70.0}, fp_id=3))
+            outcomes = []
+            for q in queries:
+                try:
+                    outcomes.append(one_by_one([q], rfm, CFG, method)[0])
+                except OverflowError as exc:
+                    outcomes.append(type(exc))
+            exp = _kernels.expansion(rfm.values)
+            assert np.isfinite(exp.spread).all()
+            ok = [e for e in outcomes if e is not OverflowError]
+            assert locate_batch([q for q, e in zip(queries, outcomes) if e is not OverflowError],
+                                rfm, CFG, method) == ok
+            for extreme in (span, -span):
+                edge = make_fp({fid: extreme}, fp_id=9)
+                batch = queries + [edge]
+                if certifiable:
+                    assert locate_batch(batch, rfm, CFG, method) == one_by_one(batch, rfm, CFG,
+                                                                               method)
+                else:
+                    with pytest.raises(OverflowError):
+                        one_by_one([edge], rfm, CFG, method)
+                    with pytest.raises(OverflowError):
+                        locate_batch(batch, rfm, CFG, method)
+
+    @pytest.mark.parametrize("method", ["iterative", "knn", "cdm"])
+    def test_a_zero_scale_hides_no_overflow(self, rng, method):
+        # (-110 - 1.35e154)**2 overflows before alpha2 = 0 scales it: NaN, rejected;
+        # the column's spread and its distance to -110 stay finite
+        rfm = random_rfm(rng, n_points=8, n_features=2, density=1.0, sigma_range=(0.5, 4.0))
+        values = rfm.values.copy()
+        values[:, 0] = np.linspace(1.2e154, 1.35e154, 8)
+        rfm = make_rfm(rfm.locations, rfm.feature_ids, values, rfm.sigmas)
+        queries = [make_fp({rfm.feature_ids[1]: -60.0 - i}, fp_id=i) for i in range(4)]
+        cfg = replace(CFG, alpha2=0.0)
+        with pytest.raises(OverflowError):
+            one_by_one(queries[:1], rfm, cfg, method)
+        with pytest.raises(OverflowError):
+            locate_batch(queries, rfm, cfg, method)
