@@ -37,10 +37,15 @@ since a present cell is ``s * (o - R) ** 2`` and an absent one ``a``.
 ``expansion`` builds the map's side ``[P | R | R * R]`` once, and
 ``expanded_cdm`` scores a block of observations against it with one
 matrix product, called in slices of the map's rows.
+
+A lookup ranks by k passes of argmin, so ties go to the lower index:
+``ranked`` ranks one search's values, and ``ranked_block`` a block's
+from ``expanded_cdm``, certified to rank as each search's own values.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +59,9 @@ BACKEND = "numpy"
 # workers spinning for about 0.1 s after the last one, a core taken from
 # whatever the caller runs next
 _BLAS_CALL = 1 << 18
+_UNIT_ROUNDOFF = 2.0 ** -53
+# at least the absolute error an underflowing product can make, 2**-1075
+_UNDERFLOW = 2.0 ** -1022
 
 
 def cdm_cells(ref: np.ndarray, absent: np.ndarray, columns: np.ndarray, obs: np.ndarray,
@@ -154,3 +162,101 @@ def expanded_cdm(exp: Expansion, obs: np.ndarray, weights: np.ndarray, alpha1: f
              + max(1.0, alpha1) * to_missing).sum(axis=1)
     magnitude[~np.isfinite(2.0 * cells)] = np.inf
     return values, magnitude, np.maximum(np.abs(o).max(axis=1, initial=0.0), exp.reach)
+
+
+def ranked(d: np.ndarray, k: int) -> list[int]:
+    """The indices of the k smallest values of ``d`` (all, for k beyond its
+    size) in rank order: exactly ``np.argsort(d, kind="stable")[:k]`` if
+    they are finite, else ``OverflowError``. Each of the k argmin passes
+    first writes +inf over the value the last one took, so ``d`` is spent.
+    ``d`` holds no NaN: see the ``positioner`` module docstring."""
+    best = [d.argmin()]
+    for _ in range(min(k, d.size) - 1):
+        d[best[-1]] = np.inf
+        best.append(d.argmin())
+    if not math.isfinite(d[best[-1]]):
+        raise OverflowError("a dissimilarity overflows: one of the k smallest is not finite")
+    return best
+
+
+def _k_smallest(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`ranked`'s passes over each row of ``values`` (searches x
+    points) at once, without its check: the indices of each row's k
+    smallest values in rank order, and those values. ``values`` is spent."""
+    k = min(k, values.shape[1])
+    top = np.empty((len(values), k), dtype=np.intp)
+    ranks = np.empty((len(values), k))
+    every = np.arange(len(values))
+    for t in range(k):  # no n x B index array
+        top[:, t] = values.argmin(axis=1)
+        ranks[:, t] = values[every, top[:, t]]
+        values[every, top[:, t]] = np.inf
+    return top, ranks
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), the relative error bound of n roundings."""
+    return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+
+
+def _certified_rows(values: np.ndarray, magnitude: np.ndarray, reach: np.ndarray,
+                    n_features: int, k: int, alpha1: float, alpha2: float
+                    ) -> list[np.ndarray | None]:
+    """For each row of :func:`expanded_cdm`'s values, the rows that
+    :func:`ranked` returns for the same lookup through the search's own
+    cells (:func:`cdm_cells` and :func:`cdm_reduce`), or None where the
+    values cannot tell.
+
+    Both computations approximate the same exact sum of terms, and each
+    term of either is a product of computed factors, each a few roundings
+    off its exact value, summed in some order. By the inner-product bound
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    2002, section 3.1), which holds for any summation order and so for
+    any BLAS thread count, the expanded value is within gamma(3F + 7) M of
+    the exact one: up to 6 roundings form a term's factors (the layers,
+    ``o``, ``u`` and the block's columns), 3F go to the product and 1 to
+    adding the block's constant, itself formed by a sum over F. The
+    cells' value is within gamma(F + 5) M: 4 roundings form a cell, F go to the
+    matrix-vector product and 1 to adding ``base``. M is the kernel's
+    ``magnitude``. An underflowing product adds at most ``_UNDERFLOW``,
+    later multiplied by at most three factors no larger than
+    max(2, alpha1, alpha2, ``reach``); a row forms at most 15F + 8
+    products. So the two values of a row lie within ``err`` of each other,
+    and ``err`` is doubled here, which covers the roundings of M, of
+    ``err`` and of the gaps below.
+
+    The certificate: rank the k + 1 smallest expanded values. If each
+    consecutive gap exceeds 2 ``err``, the cells' values rank the same k rows
+    in the same order, strictly, and every other row above them, so the
+    ties by index of :func:`ranked` never come into play; rows tied in
+    the exact values are never certified.
+
+    Overflow: M bounds every weighted cell, every term, every partial sum
+    and every value of both computations within a factor of 1 + gamma,
+    and the kernel makes M inf where an unweighted cell could overflow.
+    So when 2M is finite nothing overflows, and at a search's first
+    lookup, whose weights are 1, every value of its own is finite. Within a
+    column the largest cell lies at the smallest or largest map value,
+    which is what the column's ``spread`` records: the check reads F
+    column extremes instead of n x F cells. A search whose 2M is not
+    finite is not certified, and its own cells are checked in full.
+    ``values`` is spent.
+    """
+    top, ranks = _k_smallest(values, k + 1)
+    lever = np.maximum(reach, max(2.0, alpha1, alpha2))
+    err = 2.0 * ((_gamma(3 * n_features + 7) + _gamma(n_features + 5)) * magnitude
+                 + (15 * n_features + 8) * lever ** 3 * _UNDERFLOW)
+    apart = (np.diff(ranks, axis=1) > 2.0 * err[:, None]).all(axis=1)
+    sure = np.isfinite(2.0 * magnitude) & apart
+    return [rows[:k] if ok else None for rows, ok in zip(top, sure)]
+
+
+def ranked_block(exp: Expansion, obs: np.ndarray, weights: np.ndarray, alpha1: float,
+                 alpha2: float, missing_value: float, base: np.ndarray, k: int
+                 ) -> list[np.ndarray | None]:
+    """Per observation of a block, as :func:`expanded_cdm` takes them, the
+    rows of its k smallest values where :func:`_certified_rows` certifies
+    them, else None."""
+    values, magnitude, reach = expanded_cdm(exp, obs, weights, alpha1, alpha2, missing_value,
+                                            base)
+    return _certified_rows(values, magnitude, reach, obs.shape[1], k, alpha1, alpha2)

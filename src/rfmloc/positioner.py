@@ -14,11 +14,9 @@ to the search's unweighted kNN estimate, the start of a kNN-initialized
 search.
 
 ``locate_batch`` advances the searches of a block in lockstep, one lookup
-at a time. At p = 2 a lookup of two or more live searches is one matrix
-product against layers of the map alone, and a rounding-error bound
-certifies, search by search, that it ranks the same rows as the search's
-own cells would; where it cannot, the search takes its cells after all.
-Every estimate is therefore the one the search computes alone.
+at a time. At p = 2 a lookup of two or more live searches is one product
+ranked by ``_kernels.ranked_block``; a search it leaves undecided takes
+its own cells, so every estimate is the one the search computes alone.
 
 A lookup ranks finite values only, and raises ``OverflowError`` rather
 than rank what overflowed. A feature distance too large for a float (a
@@ -125,22 +123,6 @@ def dissimilarities(obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig,
                                _outside_constant(outside, weight, cfg.alpha1))
 
 
-def _k_smallest(d: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest values, ties by lower index: exactly
-    ``np.argsort(d, kind="stable")[:k]``, for 1 <= k <= len(d).
-
-    Only the values not above the k-th smallest are sorted. They are taken
-    in index order, so the stable sort keeps their ties by index. k = 1,
-    the default, is one argmin, also the fastest answer on one thread.
-    ``d`` holds no NaN: see the module docstring.
-    """
-    if k == 1:
-        return np.array([d.argmin()])
-    kth = d[np.argpartition(d, k - 1)[k - 1]]
-    candidates = np.flatnonzero(d <= kth)
-    return candidates[np.argsort(d[candidates], kind="stable")[:k]]
-
-
 def _finite(d: np.ndarray) -> np.ndarray:
     """``d``, if every value is finite."""
     if not np.isfinite(d).all():
@@ -148,20 +130,11 @@ def _finite(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def _ranked(d: np.ndarray, k: int) -> np.ndarray:
-    """The rows of the k smallest values of ``d``, ranked as
-    :func:`_k_smallest` ranks them, if the largest of them is finite."""
-    best = _k_smallest(d, min(k, d.size))
-    if not math.isfinite(d[best[-1]]):
-        raise OverflowError("a dissimilarity overflows: one of the k smallest is not finite")
-    return best
-
-
-def _mean_location(rfm: ExtendedRfm, best: np.ndarray) -> Location:
+def _mean_location(rfm: ExtendedRfm, best: Sequence[int]) -> Location:
     """The mean location of the reference points ``best``, in their order."""
-    if best.size == 1:  # the mean of one point, without a numpy call
+    if len(best) == 1:  # the mean of one point, without a numpy call
         return rfm.location_at(int(best[0]))
-    x, y = rfm.locations[best].sum(axis=0) / best.size  # .mean(axis=0), without its checks
+    x, y = rfm.locations[best].sum(axis=0) / len(best)  # .mean(axis=0), without its checks
     return Location(float(x), float(y))
 
 
@@ -174,7 +147,7 @@ def knn_locate(obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig,
     """
     with np.errstate(over="ignore", invalid="ignore"):  # rejected, not warned about
         d = dissimilarities(obs, rfm, cfg, wv)
-    return _mean_location(rfm, _ranked(_finite(d), cfg.k))
+    return _mean_location(rfm, _kernels.ranked(_finite(d), cfg.k))
 
 
 def _random_start(obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig) -> Location:
@@ -331,73 +304,6 @@ _PRODUCT_BYTES = 1 << 18
 # but a product takes this many searches at least, since each product reads
 # the layers once, and at 6654 x 100 they are 16 MB
 _PRODUCT_SEARCHES = 16
-_UNIT_ROUNDOFF = 2.0 ** -53
-# at least the absolute error an underflowing product can make, 2**-1075
-_UNDERFLOW = 2.0 ** -1022
-
-
-def _gamma(n: int) -> float:
-    """gamma_n = n u / (1 - n u), the relative error bound of n roundings."""
-    return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
-
-
-def _certified_rows(values: np.ndarray, magnitude: np.ndarray, reach: np.ndarray,
-                    n_features: int, cfg: PositioningConfig) -> list[np.ndarray | None]:
-    """For each row of ``_kernels.expanded_cdm``'s values, the rows that
-    :func:`_ranked` returns for the same lookup through the search's own
-    cells (:func:`_cells` and ``cdm_reduce``), or None where the values
-    cannot tell.
-
-    Both computations approximate the same exact sum of terms, and each
-    term of either is a product of computed factors, each a few roundings
-    off its exact value, summed in some order. By the inner-product bound
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    2002, section 3.1), which holds for any summation order and so for
-    any BLAS thread count, the expanded value is within gamma(3F + 7) M of
-    the exact one: up to 6 roundings form a term's factors (the layers,
-    ``o``, ``u`` and the block's columns), 3F go to the product and 1 to
-    adding the block's constant, itself formed by a sum over F. The
-    cells' value is within gamma(F + 5) M: 4 roundings form a cell, F go to the
-    matrix-vector product and 1 to adding ``base``. M is the kernel's
-    ``magnitude``. An underflowing product adds at most ``_UNDERFLOW``,
-    later multiplied by at most three factors no larger than
-    max(2, alpha1, alpha2, ``reach``); a row forms at most 15F + 8
-    products. So the two values of a row lie within ``err`` of each other,
-    and ``err`` is doubled here, which covers the roundings of M, of
-    ``err`` and of the gaps below.
-
-    The certificate: rank the k + 1 smallest expanded values. If each
-    consecutive gap exceeds 2 ``err``, the cells' values rank the same k rows
-    in the same order, strictly, and every other row above them, so the
-    ties by index of ``_k_smallest`` never come into play; rows tied in
-    the exact values are never certified.
-
-    Overflow: M bounds every weighted cell, every term, every partial sum
-    and every value of both computations within a factor of 1 + gamma,
-    and the kernel makes M inf where an unweighted cell could overflow.
-    So when 2M is finite nothing overflows, and at a search's first
-    lookup, whose weights are 1, :func:`_finite` would pass. Within a
-    column the largest cell lies at the smallest or largest map value,
-    which is what the column's ``spread`` records: the check reads F
-    column extremes instead of n x F cells. A search whose 2M is not
-    finite is not certified, and its own cells are checked in full.
-    """
-    searches, n = values.shape
-    m = min(cfg.k + 1, n)
-    top = np.empty((searches, m), dtype=np.intp)
-    ranked = np.empty((searches, m))
-    every = np.arange(searches)
-    for t in range(m):  # m passes of argmin, in place: no n x B index array
-        top[:, t] = values.argmin(axis=1)
-        ranked[:, t] = values[every, top[:, t]]
-        values[every, top[:, t]] = np.inf
-    lever = np.maximum(reach, max(2.0, cfg.alpha1, cfg.alpha2))
-    err = 2.0 * ((_gamma(3 * n_features + 7) + _gamma(n_features + 5)) * magnitude
-                 + (15 * n_features + 8) * lever ** 3 * _UNDERFLOW)
-    apart = (np.diff(ranked, axis=1) > 2.0 * err[:, None]).all(axis=1)
-    sure = np.isfinite(2.0 * magnitude) & apart
-    k = min(cfg.k, n)
-    return [rows[:k] if ok else None for rows, ok in zip(top, sure)]
 
 
 class _Search:
@@ -406,11 +312,12 @@ class _Search:
     ``OverflowError``, ``WeightOverflow``) ends it with the exception as
     its result, which the batch raises in input order."""
 
-    __slots__ = ("obs", "vec", "outside", "cells", "weights", "base", "nearest", "path",
-                 "estimates", "result")
+    __slots__ = ("obs", "rfm", "cfg", "iterative", "vec", "outside", "cells", "weights",
+                 "base", "nearest", "path", "estimates", "result")
 
-    def __init__(self, obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig):
-        self.obs = obs
+    def __init__(self, obs: Fingerprint, rfm: ExtendedRfm, cfg: PositioningConfig,
+                 iterative: bool):
+        self.obs, self.rfm, self.cfg, self.iterative = obs, rfm, cfg, iterative
         self.cells: np.ndarray | None = None
         self.nearest: Location | None = None  # the unweighted kNN estimate
         self.path: list[Location] = []
@@ -418,21 +325,17 @@ class _Search:
         self.result: PositionEstimate | Exception | None = None
         try:
             self.vec, self.outside = _aligned(obs, rfm, cfg)
-        except EmptyComparison as exc:
+        except (EmptyComparison, OverflowError) as exc:
             self.result = exc
             return
-        self._weigh(np.ones(len(rfm.feature_ids)), 1.0, cfg)
+        self.weights = np.ones(len(rfm.feature_ids))
+        self.base = _outside_constant(self.outside, lambda _: 1.0, cfg.alpha1)
 
-    def _weigh(self, weights: np.ndarray, min_weight: float, cfg: PositioningConfig) -> None:
-        self.weights = weights
-        # a weight row gives every feature outside the universe its min weight
-        self.base = _outside_constant(self.outside, lambda _: min_weight, cfg.alpha1)
-
-    def step(self, best: np.ndarray | None, rfm: ExtendedRfm, cfg: PositioningConfig,
-             iterative: bool, keep: bool) -> None:
+    def step(self, best: Sequence[int] | None, keep: bool) -> None:
         """One lookup: take the certified rows ``best``, or else rank the
         search's own cells, kept for its next lookup if ``keep``; then end
         the search or weigh its next lookup."""
+        rfm, cfg = self.rfm, self.cfg
         try:
             if best is None:
                 cells = _cells(self.vec, rfm, cfg) if self.cells is None else self.cells
@@ -443,42 +346,32 @@ class _Search:
                     # every cell and outside distance adds to these with weight 1, so
                     # an overflowed one leaves inf or NaN here
                     _finite(d)
-                best = _ranked(d, cfg.k)
-            self._advance(_mean_location(rfm, best), rfm, cfg, iterative)
+                best = _kernels.ranked(d, cfg.k)
+            loc = _mean_location(rfm, best)
+            if self.nearest is None:
+                self.nearest = loc
+                if not self.iterative:
+                    self.result = PositionEstimate(loc, Termination.CONVERGING, 0, (loc,), None,
+                                                   self.obs.id)
+                    return
+                self.path.append(loc if cfg.init_mode == "knn"
+                                 else _random_start(self.obs, rfm, cfg))
+            else:
+                self.estimates.append(loc)
+                self.path.append(loc)
+                state = detect_termination(self.estimates, cfg)
+                if state is not None:
+                    loop_points = (_extract_loop(self.estimates)
+                                   if state is Termination.LOOPING else None)
+                    self.result = resolve_state(state, self.path, loop_points, self.nearest,
+                                                self.obs.id, cfg)
+                    return
+            row = _weight_row(rfm, self.path[-1], cfg)
+            self.weights = row.weights
+            # a weight row gives every feature outside the universe its min weight
+            self.base = _outside_constant(self.outside, lambda _: row.min_weight, cfg.alpha1)
         except (ValueError, OverflowError) as exc:
             self.result = exc
-
-    def _advance(self, loc: Location, rfm: ExtendedRfm, cfg: PositioningConfig,
-                 iterative: bool) -> None:
-        if self.nearest is None:
-            self.nearest = loc
-            if not iterative:
-                self.result = PositionEstimate(loc, Termination.CONVERGING, 0, (loc,), None,
-                                               self.obs.id)
-                return
-            self.path.append(loc if cfg.init_mode == "knn" else _random_start(self.obs, rfm, cfg))
-        else:
-            self.estimates.append(loc)
-            self.path.append(loc)
-            state = detect_termination(self.estimates, cfg)
-            if state is not None:
-                loop_points = (_extract_loop(self.estimates) if state is Termination.LOOPING
-                               else None)
-                self.result = resolve_state(state, self.path, loop_points, self.nearest,
-                                            self.obs.id, cfg)
-                return
-        row = _weight_row(rfm, self.path[-1], cfg)
-        self._weigh(row.weights, row.min_weight, cfg)
-
-
-def _product(part: list[_Search], rfm: ExtendedRfm, cfg: PositioningConfig,
-             exp: _kernels.Expansion) -> list[np.ndarray | None]:
-    """The certified rows of each search's next lookup in ``part``, from
-    one product (:func:`_certified_rows`)."""
-    values, magnitude, reach = _kernels.expanded_cdm(
-        exp, np.stack([s.vec for s in part]), np.stack([s.weights for s in part]),
-        cfg.alpha1, cfg.alpha2, cfg.missing_value, np.array([s.base for s in part]))
-    return _certified_rows(values, magnitude, reach, len(rfm.feature_ids), cfg)
 
 
 def _locate_block(observations: Sequence[Fingerprint], rfm: ExtendedRfm,
@@ -488,8 +381,8 @@ def _locate_block(observations: Sequence[Fingerprint], rfm: ExtendedRfm,
     time, to an estimate or the exception each raised.
 
     While two or more searches are live, their lookups are products of
-    the expansion ``exp`` with their weighted observations
-    (:func:`_product`), in parts of near equal size, each of at most
+    the expansion ``exp`` with their weighted observations, ranked by
+    ``_kernels.ranked_block``, in parts of near equal size, each of at most
     ``_PRODUCT_BYTES`` of values or ``_PRODUCT_SEARCHES`` searches,
     whichever is more; each part's searches step before the next part's
     product, so the Python that holds the interpreter lock runs in
@@ -497,20 +390,23 @@ def _locate_block(observations: Sequence[Fingerprint], rfm: ExtendedRfm,
     through its own cells. The search left last, and without ``exp``
     each search in turn, runs alone on its own cells, which it keeps.
     """
-    cap = max(_PRODUCT_SEARCHES, _PRODUCT_BYTES // (8 * rfm.n_points))
     with np.errstate(over="ignore", invalid="ignore"):  # rejected, not warned about
-        searches = [_Search(obs, rfm, cfg) for obs in observations]
+        searches = [_Search(obs, rfm, cfg, iterative) for obs in observations]
         live = [s for s in searches if s.result is None]
         while exp is not None and len(live) > 1:
+            cap = max(_PRODUCT_SEARCHES, _PRODUCT_BYTES // (8 * rfm.n_points))
             size = -(-len(live) // -(-len(live) // cap))  # the fewest parts within cap
             for i in range(0, len(live), size):
                 part = live[i:i + size]
-                for s, best in zip(part, _product(part, rfm, cfg, exp)):
-                    s.step(best, rfm, cfg, iterative, keep=False)
+                for s, best in zip(part, _kernels.ranked_block(
+                        exp, np.stack([s.vec for s in part]), np.stack([s.weights for s in part]),
+                        cfg.alpha1, cfg.alpha2, cfg.missing_value,
+                        np.array([s.base for s in part]), cfg.k)):
+                    s.step(best, keep=False)
             live = [s for s in live if s.result is None]
         for s in live:
             while s.result is None:
-                s.step(None, rfm, cfg, iterative, keep=True)
+                s.step(None, keep=True)
     return [s.result for s in searches]
 
 
@@ -545,12 +441,8 @@ def locate_batch(observations: Sequence[Fingerprint], rfm: ExtendedRfm,
 
     The batch runs in ``threads`` blocks of near equal size, one per
     thread, the calling one included, whose searches advance in lockstep
-    (:func:`_locate_block`).
-    At p = 2 the expansion layers are built once per call with two or
-    more observations, and each lookup of a block is a series of products
-    whose n x B values stay within ``_PRODUCT_BYTES`` (256 kB): 36
-    searches a product at 906 reference points, and at least
-    ``_PRODUCT_SEARCHES`` (16) on any map. Results are independent of
+    (:func:`_locate_block`). At p = 2 the expansion layers are built once
+    per call with two or more observations. Results are independent of
     ``threads`` and of the blocking, and the batch raises the exception
     of the first failing observation in input order.
     """

@@ -264,6 +264,25 @@ class TestLocate:
                                "minkowski_p = 2.0\n")
             assert not (tmp_path / "o.jsonl").exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_an_overflow_while_aligning_a_later_query_is_not_reported_first(
+            self, workdir, tmp_path, capsys, threads):
+        # at order 3 the outside distance of 1e200 overflows as the batch
+        # aligns its queries, before any lookup
+        holey = tmp_path / "holey.json"
+        obj = json.loads((workdir / "map.json").read_text())
+        obj["points"][0].update(f=[], v=[], sigma=[])
+        holey.write_text(json.dumps(obj))
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text('{"id": 0, "x": null, "y": null, "features": {}}\n'
+                       '{"id": 1, "x": null, "y": null, "features": {"zz": 1e200}}\n')
+        code = run(["locate", "--rfm", str(holey), "--obs", str(obs),
+                    "--out", str(tmp_path / "o.jsonl"), "--minkowski-p", "3",
+                    "--threads", threads])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {obs}: query 0 has no features ")
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_bad_observation_file_exits_1(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": 0, "x": null, "y": null, "features": {"a": -60}}\n'

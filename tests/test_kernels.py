@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from rfmloc import _kernels
+from rfmloc._kernels import _gamma
 from rfmloc.dissim import feature_distance
-from rfmloc.positioner import _gamma
 from tests.conftest import random_rfm
 
 GAMMA = -110.0

@@ -18,9 +18,9 @@ from rfmloc.dissim import (EmptyComparison, WeightOverflow, WeightVector, softma
 from rfmloc.model import (ExtendedRfm, Fingerprint, Location, PositionEstimate,
                           PositioningConfig, RfmEntry, Termination, estimate_to_obj)
 from rfmloc import _kernels
-from rfmloc.positioner import (InsufficientPoints, _aligned, _cells, _certified_rows,
-                               _extract_loop, _k_smallest, _outside_constant, _random_start,
-                               _ranked, _weight_row,
+from rfmloc._kernels import _certified_rows, _k_smallest, ranked
+from rfmloc.positioner import (InsufficientPoints, _aligned, _cells, _extract_loop,
+                               _outside_constant, _random_start, _weight_row,
                                detect_termination, dissimilarities, iterate_locate, knn_locate,
                                locate_batch, mcd_center, resolve_state)
 from tests.conftest import make_fp, make_rfm, random_rfm
@@ -584,13 +584,37 @@ class TestSearchSteps:
 
 
 class TestKSmallest:
+    # k in {1, 3, 10, n, n + 2} wherever it applies: k beyond n ranks every value
     @pytest.mark.parametrize("n", [1, 2, 9, 40])
     def test_equals_the_stable_argsort(self, rng, n):
         for _ in range(20):
             d = rng.integers(0, max(n // 4, 2), size=n).astype(float)  # many ties
             order = np.argsort(d, kind="stable")
-            for k in range(1, n + 1):
-                assert np.array_equal(_k_smallest(d, k), order[:k])
+            for k in range(1, n + 3):
+                assert np.array_equal(ranked(d.copy(), k), order[:k])
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 40])
+    def test_a_block_ranks_each_row_as_alone(self, rng, n):
+        for _ in range(20):
+            block = rng.integers(0, max(n // 4, 2), size=(7, n)).astype(float)
+            order = np.argsort(block, axis=1, kind="stable")
+            for k in sorted({1, 3, 10, n, n + 2}):
+                top, values = _k_smallest(block.copy(), k)
+                assert np.array_equal(top, order[:, :k])
+                assert np.array_equal(values, np.take_along_axis(block, top, axis=1))
+                for row, want in zip(block, top):
+                    assert np.array_equal(ranked(row.copy(), k), want)
+
+    def test_an_inf_among_the_k_smallest_raises(self, rng):
+        for _ in range(20):
+            d = rng.integers(0, 5, size=12).astype(float)
+            d[rng.choice(12, size=3, replace=False)] = np.inf
+            with pytest.raises(OverflowError):
+                ranked(d.copy(), 10)  # the tenth smallest is inf
+            # above the k smallest an inf ranks last, where it belongs
+            assert np.array_equal(ranked(d.copy(), 9), np.argsort(d, kind="stable")[:9])
+        with pytest.raises(OverflowError):
+            ranked(np.full(4, np.inf), 1)
 
 
 class TestLocateBatch:
@@ -688,7 +712,7 @@ def lookups(monkeypatch):
     """Counts of the lookups a batch decides by the certificate and of those
     it leaves to the search's own cells."""
     counts = {"certified": 0, "undecided": 0, "products": 0}
-    certify = positioner._certified_rows
+    certify = _kernels._certified_rows
 
     def counting(*args):
         rows = certify(*args)
@@ -697,7 +721,7 @@ def lookups(monkeypatch):
         counts["certified"] += sum(r is not None for r in rows)
         return rows
 
-    monkeypatch.setattr(positioner, "_certified_rows", counting)
+    monkeypatch.setattr(_kernels, "_certified_rows", counting)
     return counts
 
 
@@ -791,17 +815,15 @@ class TestLockstep:
                 base = _outside_constant(outside, lambda _: low, cfg.alpha1)
                 d = _kernels.cdm_reduce(_cells(vec, rfm, cfg), w, base)
                 vecs.append(vec), weights.append(w), bases.append(base)
-                reference.append(_ranked(d, k))
-            values, magnitude, reach = _kernels.expanded_cdm(
-                exp, np.stack(vecs), np.stack(weights), cfg.alpha1, cfg.alpha2,
-                cfg.missing_value, np.array(bases))
-            for got, want in zip(_certified_rows(values, magnitude, reach,
-                                                 len(rfm.feature_ids), cfg), reference):
+                reference.append(ranked(d, k))
+            for got, want in zip(_kernels.ranked_block(
+                    exp, np.stack(vecs), np.stack(weights), cfg.alpha1, cfg.alpha2,
+                    cfg.missing_value, np.array(bases), k), reference):
                 if got is None:
                     undecided += 1
                 else:
                     certified += 1
-                    assert got.tolist() == want.tolist()
+                    assert got.tolist() == want
         if tied:
             assert undecided > 0 and certified > 0
         else:
@@ -817,7 +839,7 @@ class TestLockstep:
                            [1.0, 3.0, 5.0, 9.0]])
         magnitude = np.array([1e4, 1e4, 1e4, 1e4, np.inf])
         reach = np.full(5, 10.0)
-        got = {k: _certified_rows(values.copy(), magnitude, reach, 2, PositioningConfig(k=k))
+        got = {k: _certified_rows(values.copy(), magnitude, reach, 2, k, CFG.alpha1, CFG.alpha2)
                for k in (1, 2, 3, 4, 5)}
         as_lists = {k: [None if r is None else r.tolist() for r in rows]
                     for k, rows in got.items()}
@@ -854,6 +876,25 @@ class TestBatchErrors:
             assert type(raised.value) is first
             if first is EmptyComparison:
                 assert "query 100 " in str(raised.value)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("method", ["iterative", "knn", "cdm"])
+    def test_an_overflow_while_aligning_raises_in_input_order(self, rng, threads, method):
+        # at order 3 the outside distance of 1e200 overflows in _aligned,
+        # while the batch sets up its searches
+        rfm = random_rfm(rng, n_points=12, n_features=4, density=0.8, sigma_range=(0.5, 4.0))
+        holey = make_rfm(rfm.locations, rfm.feature_ids,
+                         np.vstack([np.full((1, 4), np.nan), rfm.values[1:]]),
+                         np.vstack([np.full((1, 4), np.nan), rfm.sigmas[1:]]))
+        cfg = PositioningConfig(minkowski_p=3.0)
+        empty, huge = make_fp({}, fp_id=0), make_fp({"zz": 1e200}, fp_id=1)
+        with pytest.raises(OverflowError):
+            _aligned(huge, holey, cfg)
+        for queries, first in (([empty, huge], EmptyComparison), ([huge, empty], OverflowError)):
+            with pytest.raises(first) as raised:
+                locate_batch(queries + self._queries(rng, holey, 3), holey, cfg, method,
+                             threads=threads)
+            assert type(raised.value) is first
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_a_weight_overflow_raises_in_input_order(self, rng, monkeypatch, threads):
