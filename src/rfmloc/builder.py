@@ -10,11 +10,18 @@ the raw values in the neighborhood and the smoothed layer at each
 record's own position, scaled to be consistent with a normal standard
 deviation and clamped below.
 
+Each neighbour search is one sweep over the records sorted by x: the
+filter supports within ``radius``, and the smoothing candidates within
+three bandwidths (:func:`rfmloc.model.in_range`). Only the records in a
+center's x window are measured, with the arithmetic of a full scan, so
+every distance and every tie is the one a scan per record finds.
+
 The filter and the spread stage both reduce over the same supports. Every
 record's support is gathered once into a padded index matrix, and both
 stages run over (records, support, features) blocks of it, a bounded
 number of records at a time, so memory stays flat however large
-``max_neighbors`` is.
+``max_neighbors`` is. The smoothing runs the same way, one call of
+:func:`rfmloc.model.nearest_carriers_nw` per block of records.
 """
 
 from __future__ import annotations
@@ -26,12 +33,17 @@ from typing import Callable, Mapping
 import numpy as np
 
 from rfmloc.model import (BuilderConfig, ExtendedRfm, FeatureId, Fingerprint, Location,
-                          RawRfm, gaussian_nw, nearest_carriers_nw)
+                          RawRfm, gaussian_nw, in_range, nearest_carriers_nw, x_order,
+                          x_window)
 
 
-# Values per gathered (records, support, features) block, 256 KB of
-# float64; the number of records per block follows from it.
-_BLOCK_VALUES = 1 << 15
+# Values per gathered block, 64 KB of float64: (records, support,
+# features) for the median and spread stages, (candidates, features) for
+# the smoothing. The number of records per block follows from it. A block
+# stays below the allocator's 128 KB mmap threshold, so its temporaries are
+# reused from the heap: at 256 KB, a build of a 906-record survey took
+# 10,000 fresh page faults, at 64 KB 270.
+_BLOCK_VALUES = 1 << 13
 
 
 class EmptyNeighborhood(ValueError):
@@ -60,38 +72,61 @@ def _record_layers(raw: RawRfm):
     return ids, locs, feature_ids, matrix
 
 
-def _neighbor_indices(ids: np.ndarray, locs: np.ndarray, cx: float, cy: float,
-                      radius: float, cap: int) -> np.ndarray:
-    """Indices of the up-to-``cap`` nearest records within ``radius``,
-    ordered by distance with ties broken by ascending record id."""
-    d = np.hypot(locs[:, 0] - cx, locs[:, 1] - cy)
-    within = np.nonzero(d <= radius)[0]
-    order = np.lexsort((ids[within], d[within]))
-    return within[order][:cap]
+def _blocks(bounds: np.ndarray, budget: int):
+    """Runs ``(start, stop)`` of consecutive rows that cover every row in
+    order, where row j holds items ``bounds[j]`` to ``bounds[j + 1]``: each
+    run holds at most ``budget`` items, or is one row that alone holds
+    more."""
+    start, n = 0, bounds.size - 1
+    while start < n:
+        stop = int(np.searchsorted(bounds, bounds[start] + budget, "right")) - 1
+        stop = max(stop, start + 1)
+        yield start, stop
+        start = stop
+
+
+def _pairs_in_range(locs: np.ndarray, centers: np.ndarray, cutoff: float):
+    """:func:`in_range` of every center against the records, over blocks of
+    centers whose x windows hold at most ``_BLOCK_VALUES`` records in all.
+    Returns the center (row), record index and distance of every pair
+    within ``cutoff``, rows ascending."""
+    by_x, xs, ys = x_order(locs)
+    lo, hi = x_window(xs, centers[:, 0], cutoff)
+    parts = []
+    for start, stop in _blocks(np.concatenate(([0], np.cumsum(hi - lo))), _BLOCK_VALUES):
+        rows, points, d = in_range(by_x, xs, ys, centers[start:stop], cutoff)
+        parts.append((rows + start, points, d))
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _supports(ids: np.ndarray, locs: np.ndarray, centers: np.ndarray,
+              cfg: BuilderConfig) -> np.ndarray:
+    """The filter support of every center as one (centers, S) index matrix:
+    the up-to-``max_neighbors`` nearest records within ``radius``, ordered
+    by distance with ties broken by ascending record id. S is the largest
+    support; shorter rows are padded with index n, which
+    :func:`_over_supports` points at an all-NaN row."""
+    rows, points, d = _pairs_in_range(locs, centers, cfg.radius)
+    order = np.lexsort((ids[points], d, rows))
+    points = points[order]
+    firsts = np.searchsorted(rows, np.arange(len(centers) + 1))
+    rank = np.arange(rows.size) - firsts[rows]
+    keep = rank < cfg.max_neighbors
+    width = min(int(np.diff(firsts).max(initial=0)), cfg.max_neighbors)
+    supports = np.full((len(centers), width), len(locs), dtype=np.intp)
+    supports[rows[keep], rank[keep]] = points[keep]
+    return supports
 
 
 def neighborhood(raw: RawRfm, center: Location, cfg: BuilderConfig) -> Neighborhood:
     """The filter support set at ``center``: nearest records within the
     radius, at most ``max_neighbors`` of them, deterministic under ties."""
     ids, locs, _, _ = _record_layers(raw)
-    sel = _neighbor_indices(ids, locs, center.x, center.y, cfg.radius, cfg.max_neighbors)
+    (sel,) = _supports(ids, locs, np.array([[center.x, center.y]]), cfg)
     if sel.size == 0:
         raise EmptyNeighborhood(f"no record within {cfg.radius} m of ({center.x}, {center.y})")
     members = tuple((raw.records[i].location, raw.records[i]) for i in sel)
     return Neighborhood(center, members)
-
-
-def _filter_supports(ids, locs, cfg) -> np.ndarray:
-    """Every record's filter support as one (n, S) index matrix, S the
-    largest support. Shorter rows are padded with index n, which
-    :func:`_over_supports` points at an all-NaN row."""
-    sels = [_neighbor_indices(ids, locs, x, y, cfg.radius, cfg.max_neighbors)
-            for x, y in locs]
-    n = len(sels)
-    supports = np.full((n, max(sel.size for sel in sels)), n, dtype=np.intp)
-    for j, sel in enumerate(sels):
-        supports[j, :sel.size] = sel
-    return supports
 
 
 def _over_supports(reduce, matrix: np.ndarray, supports: np.ndarray) -> np.ndarray:
@@ -127,7 +162,7 @@ def spatial_median_filter(raw: RawRfm, cfg: BuilderConfig) -> RawRfm:
     neighborhood member observed it, so coverage can only grow.
     """
     ids, locs, feature_ids, matrix = _record_layers(raw)
-    filtered = _over_supports(_median, matrix, _filter_supports(ids, locs, cfg))
+    filtered = _over_supports(_median, matrix, _supports(ids, locs, locs, cfg))
     records = []
     for j, rec in enumerate(raw.records):
         present = np.nonzero(np.isfinite(filtered[j]))[0]
@@ -161,15 +196,25 @@ def kernel_smooth(filtered: RawRfm, loc: Location,
 def _smooth_matrix(locs, filtered, cfg) -> np.ndarray:
     """Kernel-smoothed value at every record location, per feature, over the
     filtered layer. Only positions where the filtered layer carries the
-    feature are filled; those are exactly the positions a map entry needs."""
+    feature are filled; those are exactly the positions a map entry needs.
+
+    Every record's points within three bandwidths are found at once and
+    sorted by distance, ties by index; the smoothing then runs over blocks
+    of records whose candidates hold at most ``_BLOCK_VALUES`` (candidate,
+    feature) values, or one record that alone holds more."""
     present = np.isfinite(filtered)
-    smoothed = np.full_like(filtered, np.nan)
-    cutoff = 3.0 * cfg.bandwidth
-    for j in range(filtered.shape[0]):
-        d = np.hypot(locs[:, 0] - locs[j, 0], locs[:, 1] - locs[j, 1])
-        features, (values,) = nearest_carriers_nw(d, present, (filtered,), cfg.ks_neighbors,
-                                                  cfg.bandwidth, cutoff)
-        smoothed[j, features] = values
+    n, n_features = filtered.shape
+    rows, points, d = _pairs_in_range(locs, locs, 3.0 * cfg.bandwidth)
+    order = np.lexsort((points, d, rows))
+    points, d = points[order], d[order]
+    firsts = np.searchsorted(rows, np.arange(n + 1))
+    smoothed = np.empty_like(filtered)
+    for start, stop in _blocks(firsts, _BLOCK_VALUES // max(n_features, 1)):
+        bounds = firsts[start:stop + 1]
+        run = slice(bounds[0], bounds[-1])
+        smoothed[start:stop] = nearest_carriers_nw(bounds - bounds[0], points[run], d[run],
+                                                   present, (filtered,), cfg.ks_neighbors,
+                                                   cfg.bandwidth)[0]
     return np.where(present, smoothed, np.nan)
 
 
@@ -229,7 +274,7 @@ def build(raw: RawRfm, cfg: BuilderConfig | None = None, *,
     if cfg is None:
         cfg = BuilderConfig()
     ids, locs, feature_ids, matrix = _record_layers(raw)
-    supports = _filter_supports(ids, locs, cfg)
+    supports = _supports(ids, locs, locs, cfg)
     filtered = _over_supports(_median, matrix, supports)
     smoothed = _smooth_matrix(locs, filtered, cfg)
 

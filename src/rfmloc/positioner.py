@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, NamedTuple, Sequence
 
@@ -71,7 +72,7 @@ def _weight_row(rfm: ExtendedRfm, loc: Location, cfg: PositioningConfig) -> _Wei
     """The softmax weights of the spread layer at ``loc``: from the map's
     memo, else smoothed here."""
     def compute() -> _WeightRow:
-        features, _, sigmas = rfm.query_arrays(loc)
+        features, sigmas = rfm.spread_arrays(loc)
         weights, low = softmax_row(sigmas, features, len(rfm.feature_ids), cfg.beta,
                                    cfg.weight_form)
         return _WeightRow(weights, low)
@@ -427,6 +428,13 @@ def iterate_locate(obs: Fingerprint, rfm: ExtendedRfm,
     return outcome
 
 
+@lru_cache(maxsize=16)
+def _unit_scales(cfg: PositioningConfig) -> PositioningConfig:
+    """``cfg`` with both unshared-feature scales at 1, the kNN baseline's
+    setting, derived once per configuration."""
+    return replace(cfg, alpha1=1.0, alpha2=1.0)
+
+
 def locate_batch(observations: Sequence[Fingerprint], rfm: ExtendedRfm,
                  cfg: PositioningConfig, method: str = "iterative",
                  threads: int = 1) -> list[PositionEstimate]:
@@ -449,7 +457,7 @@ def locate_batch(observations: Sequence[Fingerprint], rfm: ExtendedRfm,
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if method == "knn":
-        run_cfg = replace(cfg, alpha1=1.0, alpha2=1.0)
+        run_cfg = _unit_scales(cfg)
     elif method in ("cdm", "iterative"):
         run_cfg = cfg
     else:

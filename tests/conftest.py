@@ -46,6 +46,25 @@ def random_rfm(rng: np.random.Generator, n_points: int, n_features: int,
     return make_rfm(locations, features, values, sigmas, config)
 
 
+# x coordinates on y = 0 whose distances round onto a cutoff beyond the
+# rounded window x ± cutoff: fl(2.1 - (-0.9)) is 3, but fl(2.1 - 3) lies
+# above -0.9. Likewise -2.1 and 0.9 at 3, ±1.1 and ∓0.9 at 2, and ±0.9
+# and ∓0.1 at 1.
+ROUNDING_XS = (-2.1, -1.1, -0.9, -0.1, 0.1, 0.9, 1.1, 2.1)
+
+
+def awkward_locations() -> np.ndarray:
+    """Locations a candidate search must treat exactly: the rounding pairs
+    of ``ROUNDING_XS`` on the x axis, a grid whose columns share x and
+    whose nodes lie exactly 0.5 and 1 apart, and duplicates. They are
+    listed by descending x, so distance ties fall in a different order by
+    index than by x."""
+    axis = [(x, 0.0) for x in ROUNDING_XS]
+    grid = [(x, y) for x in (4.0, 5.0, 6.0) for y in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    duplicates = [(2.1, 0.0), (5.0, 0.0), (5.0, 0.0)]
+    return np.array(sorted(axis + grid + duplicates, reverse=True))
+
+
 def make_fp(features: dict, fp_id: int = 0, location: Location | None = None) -> Fingerprint:
     return Fingerprint(fp_id, location, features)
 

@@ -11,7 +11,7 @@ from rfmloc.builder import (BuilderConfig, EmptyNeighborhood, build,
                             estimate_std, kernel_smooth, neighborhood,
                             spatial_median_filter)
 from rfmloc.model import Fingerprint, Location, RawRfm
-from tests.conftest import grid_raw, make_fp
+from tests.conftest import awkward_locations, grid_raw, make_fp
 
 CFG = BuilderConfig()
 
@@ -439,6 +439,64 @@ class TestLayerOracles:
         assert (rfm.n_points, rfm.feature_ids) == (5, ())
         assert rfm.values.shape == rfm.sigmas.shape == (5, 0)
         assert all(not rec.features for rec in spatial_median_filter(raw, CFG).records)
+
+
+def _awkward_survey(rng):
+    """Records at :func:`awkward_locations`, their ids shuffled so that id
+    order, index order and x order all differ, each carrying feature "a"
+    and some of "b" to "d"."""
+    locations = awkward_locations()
+    ids = rng.permutation(len(locations)) * 3 + 1
+    records = []
+    for rid, (x, y) in zip(ids.tolist(), locations.tolist()):
+        feats = {f: float(rng.uniform(-95, -45)) for f in "bcd" if rng.random() < 0.6}
+        feats["a"] = float(rng.uniform(-95, -45))
+        records.append(Fingerprint(rid, Location(x, y), feats))
+    return RawRfm.from_records(records)
+
+
+class TestNeighborSearch:
+    """The builder's one candidate search against full scans per record, on
+    locations whose distances tie or round onto the cutoff."""
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 20])
+    def test_filter_supports_equal_full_scan(self, rng, radius, cap):
+        raw = _awkward_survey(rng)
+        cfg = BuilderConfig(radius=radius, max_neighbors=cap)
+        ids, locs, _, _ = builder._record_layers(raw)
+        supports = builder._supports(ids, locs, locs, cfg)
+        oracle = _oracle_supports(raw, cfg)
+        assert supports.shape[1] == max(sel.size for sel in oracle)
+        for row, sel in zip(supports, oracle):
+            assert row[row < len(locs)].tolist() == sel.tolist()
+        for center in (Location(0.1, 0.0), Location(5.0, 0.25), Location(2.1, 0.0)):
+            d = np.hypot(locs[:, 0] - center.x, locs[:, 1] - center.y)
+            within = np.flatnonzero(d <= radius)
+            expected = ids[within[np.lexsort((ids[within], d[within]))][:cap]]
+            nb = neighborhood(raw, center, cfg)
+            assert [rec.id for _, rec in nb.members] == expected.tolist()
+
+    @pytest.mark.parametrize("ks", [1, 2, 3, 20])
+    @pytest.mark.parametrize("bandwidth", [1.0 / 3.0, 2.0 / 3.0, 1.0])
+    @pytest.mark.parametrize("block_values", [None, 30])
+    def test_value_layer_equals_kernel_smooth(self, rng, monkeypatch, ks, bandwidth,
+                                              block_values):
+        # three bandwidths are 1, 2 and 3 exactly, the cutoffs of the
+        # rounding pairs; a small filter radius keeps most records' own values
+        if block_values is not None:
+            monkeypatch.setattr(builder, "_BLOCK_VALUES", block_values)
+        raw = _awkward_survey(rng)
+        cfg = BuilderConfig(ks_neighbors=ks, bandwidth=bandwidth, radius=0.25)
+        rfm = build(raw, cfg)
+        filtered = spatial_median_filter(raw, cfg)
+        for j, rec in enumerate(filtered.records):
+            expected = dict(kernel_smooth(filtered, rec.location, cfg))
+            for f, fid in enumerate(rfm.feature_ids):
+                if fid in rec.features:
+                    assert rfm.values[j, f] == expected[fid]
+                else:
+                    assert np.isnan(rfm.values[j, f])
 
 
 class TestBlockMedian:

@@ -10,9 +10,10 @@ from rfmloc.builder import BuilderConfig
 from rfmloc.model import (DataError, ExtendedRfm, Fingerprint, Location,
                           PositioningConfig, RawRfm, Rect, RfmEntry, Termination,
                           estimate_from_obj, estimate_to_obj, fingerprint_from_obj,
-                          fingerprint_to_obj, gaussian_nw, nearest_carriers_nw,
-                          read_fingerprints, write_fingerprints)
-from tests.conftest import make_fp, make_rfm, random_rfm
+                          fingerprint_to_obj, gaussian_nw, in_range, nearest_carriers_nw,
+                          read_fingerprints, write_fingerprints, x_order)
+from tests.conftest import (ROUNDING_XS, awkward_locations, make_fp, make_rfm,
+                            random_rfm)
 
 
 def reference_query(rfm: ExtendedRfm, loc: Location) -> list[RfmEntry]:
@@ -369,25 +370,140 @@ class TestQueryOracle:
         rfm = random_rfm(rng, n_points=50, n_features=7, extent=10.0, density=0.6,
                          sigma_range=(0.5, 6.0))
         present = np.isfinite(rfm.values)
+        bounds = np.array([0, 1, 20, 20, 50])  # four locations, one without candidates
         for _ in range(10):
-            d = rng.uniform(0.0, 8.0, size=rfm.n_points)
-            want = nearest_carriers_nw(d, present, (rfm.values, rfm.sigmas), 3, 1.0, 3.0)
-            got = nearest_carriers_nw(d, present, tuple(map(np.asfortranarray,
-                                                            (rfm.values, rfm.sigmas))),
-                                      3, 1.0, 3.0)
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
+            points = rng.permutation(rfm.n_points)
+            d = np.sort(rng.uniform(0.0, 8.0, size=rfm.n_points))  # each run nearest first
+            want = nearest_carriers_nw(bounds, points, d, present, (rfm.values, rfm.sigmas),
+                                       3, 1.0)
+            got = nearest_carriers_nw(bounds, points, d, present,
+                                      tuple(map(np.asfortranarray, (rfm.values, rfm.sigmas))),
+                                      3, 1.0)
+            assert np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.parametrize("n_layers", [1, 2])
     def test_no_point_in_range(self, rng, n_layers):
         rfm = random_rfm(rng, n_points=20, n_features=5, extent=10.0, density=0.6,
                          sigma_range=(0.5, 6.0))
-        d = rng.uniform(3.5, 8.0, size=rfm.n_points)
         layers = (rfm.values, rfm.sigmas)[:n_layers]
-        features, estimates = nearest_carriers_nw(d, np.isfinite(rfm.values), layers, 3, 1.0,
-                                                  3.0)
-        assert features.dtype == np.intp and features.shape == (0,)
-        assert estimates.dtype == np.float64 and estimates.shape == (n_layers, 0)
+        none = np.empty(0, dtype=np.intp)
+        for m in (1, 3):
+            estimates = nearest_carriers_nw(np.zeros(m + 1, dtype=np.intp), none, np.empty(0),
+                                            np.isfinite(rfm.values), layers, 3, 1.0)
+            assert estimates.dtype == np.float64 and estimates.shape == (n_layers, m, 5)
+            assert np.isnan(estimates).all()
+
+
+def full_scan(locations: np.ndarray, centers: np.ndarray, cutoff: float) -> list:
+    """(center, point, distance bits) of every pair within ``cutoff``, by a
+    full scan per center: the candidate search's oracle."""
+    pairs = []
+    for row, (cx, cy) in enumerate(centers):
+        d = np.hypot(locations[:, 0] - cx, locations[:, 1] - cy)
+        within = np.flatnonzero(d <= cutoff)
+        pairs += zip([row] * within.size, within.tolist(), d[within].view(np.uint64).tolist())
+    return sorted(pairs)
+
+
+class TestCandidateSearch:
+    """``in_range`` against a full scan per center, bit for bit."""
+
+    @pytest.mark.parametrize("cutoff", [0.5, 1.0, 2.0, 3.0, math.inf])
+    def test_awkward_locations(self, cutoff):
+        locations = awkward_locations()
+        # the points themselves, the centre of the x axis, and centers
+        # without any point in range
+        centers = np.vstack([locations, [[0.1, 0.0], [40.0, 0.0], [5.0, 30.0], [-40.0, 0.0]]])
+        rows, points, d = in_range(*x_order(locations), centers, cutoff)
+        assert np.all(np.diff(rows) >= 0)
+        got = sorted(zip(rows.tolist(), points.tolist(), d.view(np.uint64).tolist()))
+        assert got == full_scan(locations, centers, cutoff)
+
+    def test_random_blocks(self, rng):
+        for _ in range(30):
+            locations = rng.uniform(-10.0, 10.0, size=(int(rng.integers(1, 80)), 2))
+            locations[rng.random(len(locations)) < 0.3, 0] = 1.5  # a column of equal x
+            centers = rng.uniform(-14.0, 14.0, size=(int(rng.integers(1, 20)), 2))
+            cutoff = float(rng.uniform(0.5, 6.0))
+            rows, points, d = in_range(*x_order(locations), centers, cutoff)
+            got = sorted(zip(rows.tolist(), points.tolist(), d.view(np.uint64).tolist()))
+            assert got == full_scan(locations, centers, cutoff)
+
+    def test_rounding_pairs_fall_outside_the_plain_window(self):
+        # the premise of the widened window: each pair is within its cutoff
+        # by the exact test, and outside the window x ± cutoff
+        for x0, x1, cutoff in ((2.1, -0.9, 3.0), (-2.1, 0.9, 3.0), (1.1, -0.9, 2.0),
+                               (-1.1, 0.9, 2.0), (0.9, -0.1, 1.0), (-0.9, 0.1, 1.0)):
+            assert np.hypot(x1 - x0, 0.0) <= cutoff
+            assert not x0 - cutoff <= x1 <= x0 + cutoff
+            assert {x0, x1} <= set(ROUNDING_XS)
+
+
+def reference_block(rfm: ExtendedRfm, centers: np.ndarray, cutoff: float) -> np.ndarray:
+    """The (2, centers, features) layers of :func:`reference_query` within
+    ``cutoff`` and without its fallback, NaN where a feature has no carrier."""
+    cfg = rfm.builder_config
+    present = np.isfinite(rfm.values)
+    out = np.full((2, len(centers), len(rfm.feature_ids)), np.nan)
+    for i, (cx, cy) in enumerate(centers):
+        d = np.hypot(rfm.locations[:, 0] - cx, rfm.locations[:, 1] - cy)
+        order = np.argsort(d, kind="stable")
+        for f in range(len(rfm.feature_ids)):
+            carriers = order[present[order, f]]
+            sel = carriers[d[carriers] <= cutoff][:cfg.ks_neighbors]
+            if sel.size:
+                out[0, i, f] = gaussian_nw(rfm.values[sel, f], d[sel], cfg.bandwidth)
+                out[1, i, f] = gaussian_nw(rfm.sigmas[sel, f], d[sel], cfg.bandwidth)
+    return out
+
+
+def awkward_rfm(rng, ks: int, bandwidth: float) -> ExtendedRfm:
+    locations = awkward_locations()
+    values = rng.uniform(-100.0, -40.0, size=(len(locations), 4))
+    values[rng.random(values.shape) >= 0.6] = np.nan
+    values[:, 0] = rng.uniform(-100.0, -40.0, size=len(locations))  # every point carries one
+    sigmas = np.where(np.isfinite(values), rng.uniform(0.5, 6.0, values.shape), np.nan)
+    return make_rfm(locations, list("abcd"), values, sigmas,
+                    BuilderConfig(ks_neighbors=ks, bandwidth=bandwidth))
+
+
+# 3 * bandwidth is 1.0, 2.0 and 3.0 exactly: the cutoffs of the rounding pairs
+BANDWIDTHS = [1.0 / 3.0, 2.0 / 3.0, 1.0]
+
+
+class TestBlockSmoothing:
+    """``nearest_carriers_nw`` over a block of locations, and the lookups of
+    one location, against the per-location oracles."""
+
+    @pytest.mark.parametrize("ks", [1, 2, 3, 20])
+    @pytest.mark.parametrize("bandwidth", BANDWIDTHS)
+    def test_block_equals_per_location_oracle(self, rng, ks, bandwidth):
+        rfm = awkward_rfm(rng, ks, bandwidth)
+        cutoff = 3.0 * bandwidth
+        # every point, and centers without any point in range among them
+        centers = np.vstack([rfm.locations, [[40.0, 0.0], [0.1, 0.0], [5.0, 30.0]]])
+        centers = centers[rng.permutation(len(centers))]
+        rows, points, d = in_range(*x_order(rfm.locations), centers, cutoff)
+        order = np.lexsort((points, d, rows))
+        bounds = np.searchsorted(rows[order], np.arange(len(centers) + 1))
+        got = nearest_carriers_nw(bounds, points[order], d[order], np.isfinite(rfm.values),
+                                  (rfm.values, rfm.sigmas), ks, bandwidth)
+        want = reference_block(rfm, centers, cutoff)
+        assert np.isnan(want).any(axis=2).any()  # some location lacks a feature
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("ks", [1, 2, 3, 20])
+    @pytest.mark.parametrize("bandwidth", BANDWIDTHS)
+    def test_lookups_equal_reference_query(self, rng, ks, bandwidth):
+        rfm = awkward_rfm(rng, ks, bandwidth)
+        ats = [rfm.location_at(j) for j in range(rfm.n_points)]
+        ats += [Location(0.1, 0.0), Location(5.0, 0.25), Location(40.0, 0.0)]  # last: fallback
+        for at in ats:
+            assert rfm.query(at) == reference_query(rfm, at)
+            features, _, sigmas = rfm.query_arrays(at)
+            spread_features, spread = rfm.spread_arrays(at)
+            assert np.array_equal(spread_features, features)
+            assert spread.tobytes() == sigmas.tobytes()
 
 
 class TestExtendedRfmValidation:

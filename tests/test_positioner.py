@@ -329,13 +329,13 @@ def smoothed_by(estimates):
 class TestQueryReuse:
     def test_each_searched_location_queried_once(self, rng, monkeypatch):
         asked = []
-        query_arrays = ExtendedRfm.query_arrays
+        spread_arrays = ExtendedRfm.spread_arrays
 
         def counting_query(self, loc):
             asked.append(loc)
-            return query_arrays(self, loc)
+            return spread_arrays(self, loc)
 
-        monkeypatch.setattr(ExtendedRfm, "query_arrays", counting_query)
+        monkeypatch.setattr(ExtendedRfm, "spread_arrays", counting_query)
         # k = 1: every searched location is a reference point, so a cold memo never fills
         cfg = PositioningConfig(max_iterations=4)
         unresolved = 0
@@ -385,13 +385,13 @@ class TestWeightMemo:
 
     def test_holds_at_most_n_points_rows(self, rng, monkeypatch):
         asked = set()
-        query_arrays = ExtendedRfm.query_arrays
+        spread_arrays = ExtendedRfm.spread_arrays
 
         def recording_query(self, loc):
             asked.add(loc)
-            return query_arrays(self, loc)
+            return spread_arrays(self, loc)
 
-        monkeypatch.setattr(ExtendedRfm, "query_arrays", recording_query)
+        monkeypatch.setattr(ExtendedRfm, "spread_arrays", recording_query)
         rfm = random_rfm(rng, n_points=8, n_features=5, density=0.6, sigma_range=(0.5, 6.0))
         queries = [make_fp({f: float(rng.uniform(-105, -40))
                             for f in rfm.feature_ids if rng.random() < 0.7}, fp_id=i)
@@ -648,6 +648,17 @@ class TestLocateBatch:
         b = locate_batch(queries, rfm, PositioningConfig(alpha1=9.0, alpha2=7.0),
                          method="knn")
         assert [e.location for e in a] == [e.location for e in b]
+
+    def test_knn_config_is_derived_once(self, rng):
+        # the unit-scale config of each configuration is built once, and a
+        # knn run equals cdm at unit scales
+        rfm, queries = self._instance(rng)
+        cfg = PositioningConfig(alpha1=9.0, alpha2=7.0, k=2)
+        unit = positioner._unit_scales(cfg)
+        assert unit == replace(cfg, alpha1=1.0, alpha2=1.0)
+        assert positioner._unit_scales(PositioningConfig(alpha1=9.0, alpha2=7.0, k=2)) is unit
+        assert (locate_batch(queries, rfm, cfg, method="knn")
+                == locate_batch(queries, rfm, unit, method="cdm"))
 
     def test_cdm_respects_alpha_scaling(self, rng):
         # with alpha = 1 the cdm method coincides with knn
