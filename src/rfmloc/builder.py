@@ -180,6 +180,13 @@ def kernel_smooth(filtered: RawRfm, loc: Location,
     omitted from the result.
     """
     _, locs, feature_ids, matrix = _record_layers(filtered)
+    return _kernel_smooth(locs, feature_ids, matrix, loc, cfg)
+
+
+def _kernel_smooth(locs: np.ndarray, feature_ids, matrix: np.ndarray, loc: Location,
+                   cfg: BuilderConfig) -> list[tuple[FeatureId, float]]:
+    """:func:`kernel_smooth` over the dense layers :func:`_record_layers`
+    gives, so that a walk over many locations builds them once."""
     d = np.hypot(locs[:, 0] - loc.x, locs[:, 1] - loc.y)
     order = np.argsort(d, kind="stable")
     cutoff = 3.0 * cfg.bandwidth

@@ -5,16 +5,25 @@ Fingerprint records travel as JSON lines, one object per line::
     {"id": 3, "x": 1.5, "y": 0.25, "features": {"9c:50:ee:09:5f:30": -61.0}}
 
 ``x`` and ``y`` are null for records without a ground-truth location. An
-extended reference map is a single JSON document in format 2: the builder
-configuration snapshot, the feature ids once, and per reference point its
-location and three parallel lists, the indices of the features it carries,
-their values and their sigmas; see :meth:`ExtendedRfm.to_json`. Maps in
-format 1, which listed one ``{"id", "v", "sigma"}`` object per entry, are
-still read, into the same layers.
+extended reference map is a single JSON document in format 3: the builder
+configuration snapshot, the feature ids once, and the reference locations
+and both layers as base64 of their little-endian float64 bytes, absent
+cells NaN; see :meth:`ExtendedRfm.to_json`. A reader who wants to inspect
+a map decodes its value layer with numpy, and ``sigma`` and the (n, 2)
+``locations`` alike::
+
+    obj = json.load(open("map.json"))
+    n, f = len(base64.b64decode(obj["locations"])) // 16, len(obj["features"])
+    v = np.frombuffer(base64.b64decode(obj["v"]), "<f8").reshape(n, f)
+
+Maps in format 2, which listed per point the indices, values and sigmas
+of the features it carries, and in format 1, which listed one ``{"id",
+"v", "sigma"}`` object per entry, are still read, into the same layers.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import operator
@@ -641,56 +650,48 @@ class ExtendedRfm:
         return row
 
     def to_json(self) -> str:
-        """The map as a format-2 document::
+        """The map as a format-3 document::
 
-            {"format": 2, "config": {...}, "features": [ids],
-             "points": [{"x": 1.5, "y": 0.0, "f": [0, 2], "v": [-61.5, -70.25],
-                         "sigma": [1.2, 3.0]}]}
+            {"format": 3, "config": {...}, "features": [ids],
+             "locations": "<base64>", "v": "<base64>", "sigma": "<base64>"}
 
         ``features`` lists every feature id once, in strictly ascending
-        order, and each point lists the indices into it of the features it
-        carries, ascending, with their values and sigmas in the same order.
-        Floats are written by ``repr``, so :meth:`from_json` restores every
-        layer bit for bit. :meth:`from_json` still reads format 1, the
-        document without ``"format"`` whose points hold ``"entries"``, one
-        ``{"id", "v", "sigma"}`` object per stored value.
+        order. ``locations`` is the (n, 2) array of reference coordinates,
+        ``v`` and ``sigma`` the (n, features) value and spread layers, their
+        columns in the order of ``features``; each is written row by row as
+        the base64 of its little-endian float64 bytes. An absent cell is NaN
+        in both layers, always the quiet NaN 0x7FF8000000000000, so the
+        bytes do not depend on how the arithmetic produced it. Every float
+        is kept bit for bit, signed zeros included. See the module
+        docstring for a numpy decode.
+
+        :meth:`from_json` still reads format 2, whose points list the
+        indices of the features they carry with their values and sigmas,
+        and format 1, the document without ``"format"`` whose points hold
+        ``"entries"``, one ``{"id", "v", "sigma"}`` object per stored value.
         """
         fids = self._feature_ids
         order = sorted(range(len(fids)), key=fids.__getitem__)
         present = self._present[:, order]
-        cols = np.nonzero(present)[1].tolist()
-        values = self._values[:, order][present].tolist()
-        sigmas = self._sigmas[:, order][present].tolist()
-        points = []
-        end = 0
-        for (x, y), count in zip(self._locations.tolist(), present.sum(axis=1).tolist()):
-            start, end = end, end + count
-            points.append({"x": x, "y": y, "f": cols[start:end], "v": values[start:end],
-                           "sigma": sigmas[start:end]})
-        return json.dumps({"format": 2, "config": self._config.to_dict(),
-                           "features": [fids[f] for f in order], "points": points})
+        return json.dumps({"format": 3, "config": self._config.to_dict(),
+                           "features": [fids[f] for f in order],
+                           "locations": _packed(self._locations),
+                           "v": _packed(np.where(present, self._values[:, order], _ABSENT)),
+                           "sigma": _packed(np.where(present, self._sigmas[:, order], _ABSENT))})
 
     @classmethod
     def from_json(cls, text: str) -> "ExtendedRfm":
-        """A map from a format-2 document (see :meth:`to_json`) or a format-1 one."""
+        """A map from a format-3 document (see :meth:`to_json`), or a format-2
+        or format-1 one."""
         obj = json.loads(text)
         if "format" not in obj:
             decode = _format1_layers
-        elif type(obj["format"]) is int and obj["format"] == 2:
-            decode = _format2_layers
+        elif type(obj["format"]) is int and obj["format"] in _READERS:
+            decode = _READERS[obj["format"]]
         else:
             raise ValueError(f"unknown map format {obj['format']!r}")
         config = BuilderConfig.from_dict(obj["config"])
-        locations, feature_ids, rows, cols, values, sigmas = decode(obj)
-        n = len(locations)
-        value_layer = np.full((n, len(feature_ids)), np.nan)
-        sigma_layer = np.full((n, len(feature_ids)), np.nan)
-        value_layer[rows, cols] = values
-        sigma_layer[rows, cols] = sigmas
-        # every listed value is finite: a cell listed twice leaves fewer finite cells
-        if np.count_nonzero(np.isfinite(value_layer)) != len(values):
-            raise _listed_twice(feature_ids, rows, cols)
-        return cls(locations, feature_ids, value_layer, sigma_layer, config)
+        return cls(*decode(obj), config)
 
     def save(self, path) -> None:
         write_lines(path, [self.to_json()])
@@ -727,8 +728,8 @@ def _check_entry(j: int, fid, v, sigma) -> None:
 
 
 def _format1_layers(obj: Mapping):
-    """The reference locations, feature ids and listed cells (rows,
-    columns, values, sigmas) of a format-1 map, checked entry by entry."""
+    """The reference locations, feature ids, value layer and sigma layer of
+    a format-1 map, checked entry by entry."""
     coords, rows, fids, values, sigmas = [], [], [], [], []
     for j, pt in enumerate(obj["points"]):
         x, y = pt["x"], pt["y"]
@@ -744,25 +745,46 @@ def _format1_layers(obj: Mapping):
     universe = sorted(set(fids))
     index = {fid: i for i, fid in enumerate(universe)}
     locations = np.array(coords, dtype=float).reshape(len(coords), 2)
-    return locations, universe, rows, [index[fid] for fid in fids], values, sigmas
+    return _dense(locations, universe, rows, [index[fid] for fid in fids], values, sigmas)
+
+
+def _checked_features(features) -> list:
+    """``features`` if it is a list of non-empty strings in strictly
+    ascending order, the rule of formats 2 and 3."""
+    if not (type(features) is list and set(map(type, features)) <= {str} and all(features)
+            and all(map(operator.lt, features, features[1:]))):
+        raise ValueError("features must be a list of non-empty strings in strictly "
+                         "ascending order")
+    return features
 
 
 def _format2_layers(obj: Mapping):
     """:func:`_format1_layers` for a format-2 map. Its points are checked
     in whole-list passes; only a map that fails one is scanned point by
     point, for the first fault."""
-    features, points = obj["features"], obj["points"]
-    if not (type(features) is list and set(map(type, features)) <= {str} and all(features)
-            and all(map(operator.lt, features, features[1:]))):
-        raise ValueError("features must be a list of non-empty strings in strictly "
-                         "ascending order")
+    features, points = _checked_features(obj["features"]), obj["points"]
     columns = [list(map(operator.itemgetter(key), points))
                for key in ("x", "y", "f", "v", "sigma")]
     cells = _format2_cells(*columns, len(features))
     if cells is None:
         _raise_first_fault(points, features)
     locations, rows, cols, values, sigmas = cells
-    return locations, features, rows, cols, values, sigmas
+    return _dense(locations, features, rows, cols, values, sigmas)
+
+
+def _dense(locations: np.ndarray, feature_ids: Sequence[FeatureId], rows, cols, values,
+           sigmas):
+    """The locations, feature ids and (n, features) value and sigma layers
+    holding the listed cells, NaN elsewhere; a cell listed twice raises."""
+    n = len(locations)
+    value_layer = np.full((n, len(feature_ids)), np.nan)
+    sigma_layer = np.full((n, len(feature_ids)), np.nan)
+    value_layer[rows, cols] = values
+    sigma_layer[rows, cols] = sigmas
+    # every listed value is finite: a cell listed twice leaves fewer finite cells
+    if np.count_nonzero(np.isfinite(value_layer)) != len(values):
+        raise _listed_twice(feature_ids, rows, cols)
+    return locations, feature_ids, value_layer, sigma_layer
 
 
 def _format2_cells(xs: list, ys: list, fs: list, vs: list, ss: list, n_features: int):
@@ -818,6 +840,64 @@ def _listed_twice(feature_ids: Sequence[FeatureId], rows, cols) -> ValueError:
     first = order[1:][cells[order[1:]] == cells[order[:-1]]].min()
     return ValueError(f"feature {feature_ids[cols[first]]!r} is listed twice at "
                       f"reference point {rows[first]}")
+
+
+# The NaN an absent cell is written as, whatever NaN the layers hold there.
+_ABSENT = np.uint64(0x7FF8000000000000).view(np.float64)
+
+
+def _packed(layer: np.ndarray) -> str:
+    """The base64 of ``layer``'s little-endian float64 bytes, row by row."""
+    return base64.b64encode(np.ascontiguousarray(layer, "<f8").tobytes()).decode("ascii")
+
+
+def _unpacked(obj: Mapping, key: str) -> np.ndarray:
+    """The float64 array whose bytes :func:`_packed` wrote to ``obj[key]``,
+    flat and read-only; anything but strict base64 of whole floats raises."""
+    text = obj[key]
+    if type(text) is not str:
+        raise ValueError(f"{key} must be a base64 string")
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"{key} is not base64: {exc}") from None
+    if len(data) % 8:
+        raise ValueError(f"{key} holds {len(data)} bytes, not whole float64s")
+    return np.frombuffer(data, "<f8")
+
+
+def _format3_layers(obj: Mapping):
+    """The reference locations, feature ids, value layer and sigma layer of
+    a format-3 map. Coordinates must be finite; per cell, ``v`` and
+    ``sigma`` must both be finite or both NaN (absent)."""
+    features = _checked_features(obj["features"])
+    locations = _unpacked(obj, "locations")
+    if not locations.size:
+        raise ValueError("the map has no reference points")
+    if locations.size % 2:
+        raise ValueError(f"locations holds {8 * locations.size} bytes, not a multiple of 16")
+    n = locations.size // 2
+    locations = locations.reshape(n, 2)
+    layers = []
+    for key in ("v", "sigma"):
+        layer = _unpacked(obj, key)
+        if layer.size != n * len(features):
+            raise ValueError(f"{key} holds {8 * layer.size} bytes, not 8 x {n} points x "
+                             f"{len(features)} features")
+        layers.append(layer.reshape(n, len(features)))
+    values, sigmas = layers
+    bad = ~np.isfinite(locations).all(axis=1)
+    if bad.any():
+        j = int(bad.argmax())
+        _check_coordinates(j, *locations[j].tolist())
+    bad = np.isinf(values) | np.isinf(sigmas) | (np.isnan(values) != np.isnan(sigmas))
+    if bad.any():
+        j, f = np.argwhere(bad)[0].tolist()
+        _check_entry(j, features[f], float(values[j, f]), float(sigmas[j, f]))
+    return locations, features, values, sigmas
+
+
+_READERS = {2: _format2_layers, 3: _format3_layers}
 
 
 # What a parser raises on malformed input, too deeply nested JSON included;

@@ -1,7 +1,11 @@
 """Shared helpers: direct construction of small extended maps and raw
-surveys without running the builder pipeline."""
+surveys without running the builder pipeline, a test-side writer of the
+older map format 2, and an editor of format-3 layers."""
 
 from __future__ import annotations
+
+import base64
+import json
 
 import numpy as np
 import pytest
@@ -24,6 +28,35 @@ def make_rfm(locations, features, values, sigmas=None,
         sigmas = np.asarray(sigmas, dtype=float)
     return ExtendedRfm(np.asarray(locations, dtype=float), list(features),
                        values, sigmas, config or BuilderConfig())
+
+
+def per_entry_format_2(rfm: ExtendedRfm) -> str:
+    """The map as a format-2 document, written entry by entry: the format
+    the map writer used before format 3, kept so tests can hand its reader
+    documents, edited or not."""
+    features = sorted(rfm.feature_ids)
+    index = {fid: i for i, fid in enumerate(features)}
+    points = []
+    for j in range(rfm.n_points):
+        x, y = rfm.locations[j]
+        entries = sorted(rfm.entries_at(j), key=lambda e: index[e.feature])
+        points.append({"x": float(x), "y": float(y),
+                       "f": [index[e.feature] for e in entries],
+                       "v": [e.value for e in entries],
+                       "sigma": [e.sigma for e in entries]})
+    return json.dumps({"format": 2, "config": rfm.builder_config.to_dict(),
+                       "features": features, "points": points})
+
+
+def edit_layer(obj: dict, key: str, edit) -> dict:
+    """``obj``, a format-3 map document, with ``edit`` applied to a writable
+    (points, columns) float64 copy of its layer ``key``; when ``edit``
+    returns bytes, they replace the layer's bytes instead."""
+    width = 2 if key == "locations" else len(obj["features"])
+    layer = np.frombuffer(base64.b64decode(obj[key]), "<f8").reshape(-1, width).copy()
+    data = edit(layer)
+    obj[key] = base64.b64encode(layer.tobytes() if data is None else data).decode("ascii")
+    return obj
 
 
 def random_rfm(rng: np.random.Generator, n_points: int, n_features: int,

@@ -284,8 +284,9 @@ class TestBuild:
         cfg = BuilderConfig(ks_neighbors=ks, bandwidth=bandwidth, radius=1.0)
         rfm = build(raw, cfg)
         filtered = spatial_median_filter(raw, cfg)
+        _, locs, feature_ids, matrix = builder._record_layers(filtered)
         for j, rec in enumerate(filtered.records):
-            expected = dict(kernel_smooth(filtered, rec.location, cfg))
+            expected = dict(builder._kernel_smooth(locs, feature_ids, matrix, rec.location, cfg))
             for f, fid in enumerate(rfm.feature_ids):
                 if fid in rec.features:
                     assert rfm.values[j, f] == expected[fid]
@@ -397,11 +398,12 @@ class TestLayerOracles:
         cfg = BuilderConfig(radius=radius, max_neighbors=cap)
         rfm = build(raw, cfg)
         filtered = spatial_median_filter(raw, cfg)
+        _, locs, feature_ids, matrix = builder._record_layers(filtered)
         smoothed = {}
 
         def smoothed_at(loc):
             if loc not in smoothed:
-                smoothed[loc] = dict(kernel_smooth(filtered, loc, cfg))
+                smoothed[loc] = dict(builder._kernel_smooth(locs, feature_ids, matrix, loc, cfg))
             return smoothed[loc]
 
         for j, rec in enumerate(raw.records):
@@ -490,8 +492,9 @@ class TestNeighborSearch:
         cfg = BuilderConfig(ks_neighbors=ks, bandwidth=bandwidth, radius=0.25)
         rfm = build(raw, cfg)
         filtered = spatial_median_filter(raw, cfg)
+        _, locs, feature_ids, matrix = builder._record_layers(filtered)
         for j, rec in enumerate(filtered.records):
-            expected = dict(kernel_smooth(filtered, rec.location, cfg))
+            expected = dict(builder._kernel_smooth(locs, feature_ids, matrix, rec.location, cfg))
             for f, fid in enumerate(rfm.feature_ids):
                 if fid in rec.features:
                     assert rfm.values[j, f] == expected[fid]

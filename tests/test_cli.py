@@ -1,5 +1,6 @@
 """Command line interface: the full pipeline and its failure modes."""
 
+import base64
 import json
 import math
 import re
@@ -7,15 +8,25 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rfmloc.cli import _build_parser, _layer_config, run
 from rfmloc.evaluate import radial_errors
-from rfmloc.model import BuilderConfig, PositioningConfig, read_estimates, read_fingerprints
+from rfmloc.model import (BuilderConfig, ExtendedRfm, PositioningConfig, read_estimates,
+                          read_fingerprints)
+from tests.conftest import edit_layer, per_entry_format_2
 
 
 # A map that an earlier version wrote in format 1, with its survey and queries.
 FORMAT1 = Path(__file__).resolve().parent / "data" / "format1"
+# The map of the same survey as an earlier version wrote it in format 2.
+FORMAT2 = Path(__file__).resolve().parent / "data" / "format2"
+
+
+def _format_2(path) -> dict:
+    """The map at ``path`` as a format-2 document, for tests that edit its points."""
+    return json.loads(per_entry_format_2(ExtendedRfm.load(path)))
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +181,7 @@ class TestLocate:
 
     def test_empty_map_exits_1(self, workdir, tmp_path, capsys):
         empty = tmp_path / "empty.json"
-        obj = json.loads((workdir / "map.json").read_text())
+        obj = _format_2(workdir / "map.json")
         obj["points"] = []
         empty.write_text(json.dumps(obj))
         code = run(["locate", "--rfm", str(empty), "--obs", str(workdir / "test.jsonl"),
@@ -182,7 +193,7 @@ class TestLocate:
 
     def test_zero_sigma_map_exits_1(self, workdir, tmp_path, capsys):
         bad = tmp_path / "sigma0.json"
-        obj = json.loads((workdir / "map.json").read_text())
+        obj = _format_2(workdir / "map.json")
         obj["points"][3]["sigma"][0] = 0.0
         bad.write_text(json.dumps(obj))
         code = run(["locate", "--rfm", str(bad), "--obs", str(workdir / "test.jsonl"),
@@ -196,7 +207,7 @@ class TestLocate:
     @pytest.mark.parametrize("field, literal", [("v", "Infinity"), ("sigma", "NaN")])
     def test_non_finite_map_entry_exits_1(self, workdir, tmp_path, capsys, field, literal):
         bad = tmp_path / "nonfinite.json"
-        obj = json.loads((workdir / "map.json").read_text())
+        obj = _format_2(workdir / "map.json")
         point = obj["points"][3]
         point[field][0] = float(literal.lower())
         text = json.dumps(obj)
@@ -210,6 +221,52 @@ class TestLocate:
         assert f"feature {obj['features'][point['f'][0]]!r} at reference point 3" in err
         assert not (tmp_path / "o.jsonl").exists()
 
+    @staticmethod
+    def _format_3_fault(obj: dict, fault: str) -> str:
+        """Apply ``fault`` to the format-3 document ``obj`` at reference
+        point 3, in the first feature it carries; return the phrase the
+        error must hold."""
+        layer = np.frombuffer(base64.b64decode(obj["v"]), "<f8").reshape(
+            -1, len(obj["features"]))
+        f = int(np.flatnonzero(np.isfinite(layer[3]))[0])
+        cell = f"feature {obj['features'][f]!r} at reference point 3"
+        if fault == "bad-base64":
+            obj["v"] = obj["v"][:40] + "!" + obj["v"][41:]
+            return "v is not base64"
+        if fault == "truncated":
+            data = base64.b64decode(obj["sigma"])[:-8]
+            obj["sigma"] = base64.b64encode(data).decode("ascii")
+            return f"sigma holds {len(data)} bytes"
+        if fault == "empty-locations":
+            obj["locations"] = ""
+            return "no reference points"
+        if fault == "x-nan":
+            edit_layer(obj, "locations", lambda a: a.__setitem__((3, 0), np.nan))
+            return "reference point 3 has x=nan"
+        key, value, phrase = {"v-inf": ("v", np.inf, cell + " has v=inf"),
+                              "v-nan": ("v", np.nan, cell + " has v=nan"),
+                              "sigma-zero": ("sigma", 0.0, f"sigma of {cell} is 0.0;")}[fault]
+        edit_layer(obj, key, lambda a: a.__setitem__((3, f), value))
+        return phrase
+
+    @pytest.mark.parametrize("fault", ["bad-base64", "truncated", "v-inf", "v-nan", "x-nan",
+                                       "sigma-zero", "empty-locations"])
+    def test_bad_format_3_map_exits_1(self, workdir, tmp_path, capsys, fault):
+        bad = tmp_path / "bad.json"
+        obj = json.loads((workdir / "map.json").read_text())
+        phrase = self._format_3_fault(obj, fault)
+        bad.write_text(json.dumps(obj))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would print a second line
+            code = run(["locate", "--rfm", str(bad), "--obs", str(workdir / "test.jsonl"),
+                        "--out", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: invalid reference map: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert phrase in err
+        assert not (tmp_path / "o.jsonl").exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_1(self, workdir, tmp_path, capsys, threads):
         code = run(["locate", "--rfm", str(workdir / "map.json"),
@@ -219,12 +276,18 @@ class TestLocate:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "o.jsonl").exists()
 
+    @pytest.mark.parametrize("fmt", [2, 3])
     @pytest.mark.parametrize("method", ["iterative", "knn", "cdm"])
     def test_featureless_query_against_empty_point_exits_1(self, workdir, tmp_path,
-                                                           capsys, method):
+                                                           capsys, method, fmt):
         holey = tmp_path / "holey.json"
-        obj = json.loads((workdir / "map.json").read_text())
-        obj["points"][0].update(f=[], v=[], sigma=[])
+        if fmt == 2:
+            obj = _format_2(workdir / "map.json")
+            obj["points"][0].update(f=[], v=[], sigma=[])
+        else:
+            obj = json.loads((workdir / "map.json").read_text())
+            for key in ("v", "sigma"):
+                edit_layer(obj, key, lambda layer: layer.__setitem__(0, np.nan))
         holey.write_text(json.dumps(obj))
         obs = tmp_path / "featureless.jsonl"
         obs.write_text('{"id": 0, "x": null, "y": null, "features": {}}\n')
@@ -241,7 +304,7 @@ class TestLocate:
     def test_the_first_failing_query_of_a_batch_is_reported(self, workdir, tmp_path, capsys,
                                                             method, threads):
         holey = tmp_path / "holey.json"
-        obj = json.loads((workdir / "map.json").read_text())
+        obj = _format_2(workdir / "map.json")
         obj["points"][0].update(f=[], v=[], sigma=[])
         holey.write_text(json.dumps(obj))
         lines = (workdir / "test.jsonl").read_text().splitlines()[:30]
@@ -270,7 +333,7 @@ class TestLocate:
         # at order 3 the outside distance of 1e200 overflows as the batch
         # aligns its queries, before any lookup
         holey = tmp_path / "holey.json"
-        obj = json.loads((workdir / "map.json").read_text())
+        obj = _format_2(workdir / "map.json")
         obj["points"][0].update(f=[], v=[], sigma=[])
         holey.write_text(json.dumps(obj))
         obs = tmp_path / "obs.jsonl"
@@ -297,19 +360,23 @@ class TestLocate:
 
 @pytest.mark.parametrize("method", ["iterative", "knn", "cdm"])
 def test_format_1_map_locates_as_a_fresh_build(tmp_path, method):
-    """The checked-in format-1 map and a format-2 map built now from the
-    same survey give the same estimate bytes."""
+    """The checked-in format-1 and format-2 maps and a format-3 map built
+    now from the same survey give the same estimate bytes, and either old
+    map saves as the fresh build's bytes."""
     fresh = tmp_path / "map.json"
     assert run(["build", "--raw", str(FORMAT1 / "raw.jsonl"), "--out", str(fresh)]) == 0
     assert "format" not in json.loads((FORMAT1 / "map.json").read_text())
-    assert json.loads(fresh.read_text())["format"] == 2
+    assert json.loads((FORMAT2 / "map.json").read_text())["format"] == 2
+    assert json.loads(fresh.read_text())["format"] == 3
     estimates = []
-    for i, rfm in enumerate((FORMAT1 / "map.json", fresh)):
+    for i, rfm in enumerate((FORMAT1 / "map.json", FORMAT2 / "map.json", fresh)):
         out = tmp_path / f"{i}.jsonl"
         assert run(["locate", "--rfm", str(rfm), "--obs", str(FORMAT1 / "test.jsonl"),
                     "--out", str(out), "--method", method]) == 0
         estimates.append(out.read_bytes())
-    assert estimates[0] == estimates[1]
+        ExtendedRfm.load(rfm).save(tmp_path / f"{i}.json")
+        assert (tmp_path / f"{i}.json").read_bytes() == fresh.read_bytes()
+    assert estimates[0] == estimates[1] == estimates[2]
 
 
 @pytest.fixture(scope="module")
@@ -486,9 +553,10 @@ def _bad_input(case, workdir, scored, tmp):
         (runs / "knn.jsonl").write_text("".join(reversed(lines)))
         return runs
 
-    def bad_map(edit, source=rfm):
-        """``source`` with ``edit`` applied to its document and its point 3."""
-        obj = json.loads(source.read_text())
+    def bad_map(edit, source=None):
+        """``source``, by default the built map as a format-2 document, with
+        ``edit`` applied to its document and its point 3."""
+        obj = _format_2(rfm) if source is None else json.loads(source.read_text())
         edit(obj, obj["points"][3])
         (tmp / "map.json").write_text(json.dumps(obj))
         return tmp / "map.json"
@@ -675,9 +743,9 @@ def _bad_input(case, workdir, scored, tmp):
         "map-feature-empty": lambda: (
             locate(rfm=bad_map(lambda obj, point: obj["features"].__setitem__(0, ""))),
             f"{tmp / 'map.json'}: invalid reference map: ", "non-empty strings"),
-        "map-format-3": lambda: (locate(rfm=bad_map(lambda obj, point: obj.update(format=3))),
+        "map-format-4": lambda: (locate(rfm=bad_map(lambda obj, point: obj.update(format=4))),
                                  f"{tmp / 'map.json'}: invalid reference map: ",
-                                 "unknown map format 3"),
+                                 "unknown map format 4"),
         "map-x-string": lambda: (locate(rfm=bad_point("x", "1.5")),
                                  f"{tmp / 'map.json'}: invalid reference map: ",
                                  "reference point 3"),
@@ -749,7 +817,7 @@ def _bad_input(case, workdir, scored, tmp):
     "map-lengths-differ", "map-f-not-a-list", "map-v-string", "map-sigma-true", "map-v-nan",
     "map-sigma-infinity", "map-x-nan", "map-v-too-large-an-int", "map-x-too-large-an-int",
     "map-format-1-sigma-too-large-an-int", "map-features-unsorted", "map-features-twice",
-    "map-features-not-strings", "map-feature-empty", "map-format-3"])
+    "map-features-not-strings", "map-feature-empty", "map-format-4"])
 def test_bad_input_exits_1_with_one_error_line(workdir, scored, tmp_path, capsys, case):
     argv, prefix, phrase = _bad_input(case, workdir, scored, tmp_path)
     with warnings.catch_warnings():

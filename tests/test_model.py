@@ -1,7 +1,10 @@
 """Domain types and wire formats."""
 
+import base64
 import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -12,8 +15,8 @@ from rfmloc.model import (DataError, ExtendedRfm, Fingerprint, Location,
                           estimate_from_obj, estimate_to_obj, fingerprint_from_obj,
                           fingerprint_to_obj, gaussian_nw, in_range, nearest_carriers_nw,
                           read_fingerprints, write_fingerprints, x_order)
-from tests.conftest import (ROUNDING_XS, awkward_locations, make_fp, make_rfm,
-                            random_rfm)
+from tests.conftest import (ROUNDING_XS, awkward_locations, edit_layer, make_fp, make_rfm,
+                            per_entry_format_2, random_rfm)
 
 
 def reference_query(rfm: ExtendedRfm, loc: Location) -> list[RfmEntry]:
@@ -156,24 +159,33 @@ class TestExtendedRfmSerialization:
                          config=BuilderConfig(radius=3.5, ks_neighbors=7))
         path = tmp_path / "map.json"
         rfm.save(path)
-        assert path.read_text().startswith('{"format": 2, ')
+        assert path.read_text().startswith('{"format": 3, ')
         back = ExtendedRfm.load(path)
         assert back.feature_ids == rfm.feature_ids
         assert back.builder_config == rfm.builder_config
         for layer in ("locations", "values", "sigmas"):
             assert getattr(back, layer).tobytes() == getattr(rfm, layer).tobytes()
 
-    def test_format_2_bytes(self):
-        # 3 x 3, sparse, feature ids out of order: the file lists them ascending
+    def test_format_3_bytes(self):
+        # 3 x 3, sparse, feature ids out of order: the file lists them
+        # ascending; absent cells holding other NaNs are written as the quiet NaN
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001],
+                        dtype=np.uint64).view(float)
         rfm = make_rfm([[0.0, 1.5], [-0.0, 2.0], [3.25, 1e-300]], ["b", "a", "c"],
-                       [[-60.0, np.nan, -70.5], [np.nan, np.nan, -0.0], [-61.0, -62.0, np.nan]],
-                       [[1.0, np.nan, 0.5], [np.nan, np.nan, 2.5], [0.75, 3.0, np.nan]])
+                       [[-60.0, nans[1], -70.5], [nans[2], np.nan, -0.0], [-61.0, -62.0, np.nan]],
+                       [[1.0, nans[2], 0.5], [np.nan, nans[1], 2.5], [0.75, 3.0, np.nan]])
         config = json.dumps(BuilderConfig().to_dict())
+
+        def packed(*floats):
+            raw = b"".join(b"\x00\x00\x00\x00\x00\x00\xf8\x7f" if f is None
+                           else struct.pack("<d", f) for f in floats)
+            return base64.b64encode(raw).decode()
+
         assert rfm.to_json() == (
-            '{"format": 2, "config": ' + config + ', "features": ["a", "b", "c"], "points": ['
-            '{"x": 0.0, "y": 1.5, "f": [1, 2], "v": [-60.0, -70.5], "sigma": [1.0, 0.5]}, '
-            '{"x": -0.0, "y": 2.0, "f": [2], "v": [-0.0], "sigma": [2.5]}, '
-            '{"x": 3.25, "y": 1e-300, "f": [0, 1], "v": [-62.0, -61.0], "sigma": [3.0, 0.75]}]}')
+            '{"format": 3, "config": ' + config + ', "features": ["a", "b", "c"], '
+            '"locations": "' + packed(0.0, 1.5, -0.0, 2.0, 3.25, 1e-300) + '", '
+            '"v": "' + packed(None, -60.0, -70.5, None, None, -0.0, -62.0, -61.0, None) + '", '
+            '"sigma": "' + packed(None, 1.0, 0.5, None, None, 2.5, 3.0, 0.75, None) + '"}')
 
     @staticmethod
     def _reference_to_json(rfm):
@@ -188,20 +200,22 @@ class TestExtendedRfmSerialization:
         return json.dumps({"config": rfm.builder_config.to_dict(), "points": points})
 
     @staticmethod
-    def _per_entry_format_2(rfm):
-        """A per-entry format-2 serializer, kept as the oracle of ``to_json``."""
+    def _per_cell_format_3(rfm):
+        """A format-3 serializer that packs cell by cell with ``struct``,
+        kept as the oracle of ``to_json``."""
         features = sorted(rfm.feature_ids)
-        index = {fid: i for i, fid in enumerate(features)}
-        points = []
-        for j in range(rfm.n_points):
-            x, y = rfm.locations[j]
-            entries = sorted(rfm.entries_at(j), key=lambda e: index[e.feature])
-            points.append({"x": float(x), "y": float(y),
-                           "f": [index[e.feature] for e in entries],
-                           "v": [e.value for e in entries],
-                           "sigma": [e.sigma for e in entries]})
-        return json.dumps({"format": 2, "config": rfm.builder_config.to_dict(),
-                           "features": features, "points": points})
+        columns = [rfm.feature_index[fid] for fid in features]
+
+        def packed(cells):
+            return base64.b64encode(b"".join(
+                struct.pack("<d", c) if math.isfinite(c) else struct.pack("<Q", 0x7FF8 << 48)
+                for c in cells)).decode("ascii")
+
+        layers = {key: packed(float(layer[j, f]) for j in range(rfm.n_points) for f in columns)
+                  for key, layer in (("v", rfm.values), ("sigma", rfm.sigmas))}
+        return json.dumps({"format": 3, "config": rfm.builder_config.to_dict(),
+                           "features": features,
+                           "locations": packed(map(float, rfm.locations.ravel())), **layers})
 
     @staticmethod
     def _awkward_map(rng, density):
@@ -218,29 +232,91 @@ class TestExtendedRfmSerialization:
         return make_rfm(locations, ids, values, sigmas)
 
     @pytest.mark.parametrize("density", [0.3, 0.8, 1.0])
-    def test_to_json_equals_per_entry_serializer(self, rng, density):
+    def test_to_json_equals_per_cell_serializer(self, rng, density):
         rfm = self._awkward_map(rng, density)
-        text = rfm.to_json()
-        assert text == self._per_entry_format_2(rfm)
-        assert '"x": -0.0' in text and ('[-0.0' in text or ', -0.0' in text)
+        assert rfm.to_json() == self._per_cell_format_3(rfm)
 
     @pytest.mark.parametrize("density", [0.3, 0.8, 1.0])
-    def test_format_1_document_loads_to_the_same_map(self, rng, density):
+    def test_format_1_and_2_documents_load_to_the_same_map(self, rng, density):
         rfm = self._awkward_map(rng, density)
-        one = ExtendedRfm.from_json(self._reference_to_json(rfm))
-        two = ExtendedRfm.from_json(rfm.to_json())
-        assert one.feature_ids == two.feature_ids == tuple(sorted(rfm.feature_ids))
-        assert one.builder_config == two.builder_config == rfm.builder_config
-        for layer in ("locations", "values", "sigmas"):
-            assert getattr(one, layer).tobytes() == getattr(two, layer).tobytes()
-        assert one.to_json() == two.to_json()
+        maps = [ExtendedRfm.from_json(text) for text in
+                (self._reference_to_json(rfm), per_entry_format_2(rfm), rfm.to_json())]
+        for back in maps:
+            assert back.feature_ids == tuple(sorted(rfm.feature_ids))
+            assert back.builder_config == rfm.builder_config
+            for layer in ("locations", "values", "sigmas"):
+                assert getattr(back, layer).tobytes() == getattr(maps[-1], layer).tobytes()
+            assert back.to_json() == rfm.to_json()
+        assert np.signbit(maps[-1].locations[:2]).any() and np.signbit(maps[-1].values).any()
 
-    @pytest.mark.parametrize("fmt", [1, 3, "2", 2.0, True, None])
+    @pytest.mark.parametrize("fmt", [1, 4, "2", "3", 2.0, True, None])
     def test_unknown_format_rejected(self, fmt):
         obj = json.loads(make_rfm([[0.0, 0.0]], ["a"], [[-60.0]]).to_json())
         obj["format"] = fmt
         with pytest.raises(ValueError, match=f"unknown map format {fmt!r}"):
             ExtendedRfm.from_json(json.dumps(obj))
+
+    @staticmethod
+    def _edited(key, edit):
+        """The format-3 document of a 5 x 3 map with ``edit`` applied to the
+        (points, columns) float64 array of ``key``; an ``edit`` that returns
+        bytes replaces the layer's bytes with them."""
+        rfm = make_rfm([[float(j), 0.0] for j in range(5)], ["a", "b", "c"],
+                       [[-60.0 - j, np.nan if j % 2 else -70.0, -80.0] for j in range(5)])
+        return json.dumps(edit_layer(json.loads(rfm.to_json()), key, edit))
+
+    @pytest.mark.parametrize("key, edit, message", [
+        ("locations", lambda a: b"", "the map has no reference points"),
+        ("locations", lambda a: a.tobytes()[:-8], "locations holds 72 bytes, not a multiple "
+                                                  "of 16"),
+        ("locations", lambda a: a.tobytes()[:-3], "locations holds 77 bytes, not whole"),
+        ("locations", lambda a: a.__setitem__((3, 1), np.nan),
+         "reference point 3 has x=3.0, y=nan; coordinates must be finite"),
+        ("locations", lambda a: a.__setitem__((2, 0), -np.inf), "reference point 2 has x=-inf"),
+        ("v", lambda a: a.tobytes()[:-8], "v holds 112 bytes, not 8 x 5 points x 3 features"),
+        ("sigma", lambda a: a.tobytes() + bytes(8), "sigma holds 128 bytes"),
+        ("v", lambda a: a.__setitem__((3, 2), np.inf),
+         "feature 'c' at reference point 3 has v=inf, sigma=0.5;"),
+        ("sigma", lambda a: a.__setitem__((4, 0), -np.inf),
+         "feature 'a' at reference point 4 has v=-64.0, sigma=-inf;"),
+        ("v", lambda a: a.__setitem__((2, 0), np.nan),
+         "feature 'a' at reference point 2 has v=nan, sigma=0.5;"),
+        ("sigma", lambda a: a.__setitem__((1, 1), 0.5),
+         "feature 'b' at reference point 1 has v=nan, sigma=0.5;"),
+        ("v", lambda a: a.__setitem__((1, 1), -70.0),
+         "feature 'b' at reference point 1 has v=-70.0, sigma=nan;"),
+        ("sigma", lambda a: a.__setitem__((3, 0), 0.0),
+         "sigma of feature 'a' at reference point 3 is 0.0;"),
+        ("sigma", lambda a: a.__setitem__((3, 0), -0.0),
+         "sigma of feature 'a' at reference point 3 is -0.0;"),
+    ])
+    def test_format_3_faults_name_the_cell(self, key, edit, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExtendedRfm.from_json(self._edited(key, edit))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("v", "AAAA!AAAAAAA", "v is not base64"),
+        ("v", "AAAAAAAAAAA", "v is not base64"),
+        ("sigma", "AAAA AAAAAAA", "sigma is not base64"),
+        ("locations", "caf\u00e9", "locations is not base64"),
+        ("locations", [0.0, 1.0], "locations must be a base64 string"),
+        ("v", None, "v must be a base64 string"),
+    ])
+    def test_format_3_layers_must_be_strict_base64(self, key, value, message):
+        obj = json.loads(make_rfm([[0.0, 0.0]], ["a"], [[-60.0]]).to_json())
+        obj[key] = value
+        with pytest.raises(ValueError, match=message):
+            ExtendedRfm.from_json(json.dumps(obj))
+
+    def test_format_3_reads_any_nan_as_absent(self):
+        rfm = make_rfm([[0.0, 0.0], [1.0, 0.0]], ["a", "b"], [[-60.0, np.nan], [-61.0, -62.0]])
+        payload = np.array([0xFFF0000000000123], dtype=np.uint64).view(float)[0]
+        obj = json.loads(rfm.to_json())
+        for key in ("v", "sigma"):
+            layer = np.frombuffer(base64.b64decode(obj[key]), "<f8").copy()
+            layer[np.isnan(layer)] = payload
+            obj[key] = base64.b64encode(layer.tobytes()).decode()
+        assert ExtendedRfm.from_json(json.dumps(obj)).to_json() == rfm.to_json()
 
     def test_loads_map_with_dropped_config_key(self):
         # maps written before the builder's grid export knob was removed
@@ -518,7 +594,9 @@ class TestExtendedRfmValidation:
     def test_from_json_rejects_empty_points(self):
         config = BuilderConfig().to_dict()
         for doc in ({"config": config, "points": []},
-                    {"format": 2, "config": config, "features": ["a"], "points": []}):
+                    {"format": 2, "config": config, "features": ["a"], "points": []},
+                    {"format": 3, "config": config, "features": ["a"], "locations": "",
+                     "v": "", "sigma": ""}):
             with pytest.raises(ValueError, match="no reference points"):
                 ExtendedRfm.from_json(json.dumps(doc))
 
