@@ -13,16 +13,19 @@ Unshared features are scored by substitution: an absent value reads as
 reference has the feature and by ``alpha1`` otherwise. A cell absent on
 both sides then compares ``missing_value`` with itself and adds 0.
 
-``cdm_cells`` compares one observation with ``ref`` itself: one subtract
-and power over the map, NaN in its absent cells, and a scale of the
-columns the observation lacks by ``alpha2``. The only fact about the map
-it needs beyond the values is where they are absent, given as the flat
-indices of those cells and their columns, which a map computes once. An
-absent cell compares ``missing_value`` with the observation's value in
-its column, so it takes ``alpha1`` times that column's term, written in
-by flat index. ``cdm_reduce`` applies one weight vector to the cells as a
-matrix-vector product. The iterative search changes only the weights, so
-it reduces the same cells once per iteration.
+``cdm_cells`` compares one observation with the map's imputed value
+layer, ``ref`` with ``missing_value`` in its absent cells, which a map
+keeps (``ExtendedRfm.imputed_values``): one subtract over the map, the
+power taken in place, and no cell is ever NaN. An absent cell then
+compares ``missing_value`` with the observation's value in its column.
+Two scale passes follow, each skipped where its scale is 1, as both of
+kNN's are: ``alpha2`` over the columns the observation lacks, and
+``alpha1`` over the map's absent cells, scaled in place by their flat
+indices, which a map computes once. A cell absent on both sides is 0
+before either pass, and stays 0. ``cdm_reduce`` applies one weight
+vector to the cells as a matrix-vector product. The iterative search
+changes only the weights, so it reduces the same cells once per
+iteration.
 
 At p = 2 the cells need not be formed at all. With ``c`` a constant per
 column, ``P`` the presence mask and ``R = P * (ref - c)`` (0 where
@@ -64,20 +67,24 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 _UNDERFLOW = 2.0 ** -1022
 
 
-def cdm_cells(ref: np.ndarray, absent: np.ndarray, columns: np.ndarray, obs: np.ndarray,
+def cdm_cells(imputed: np.ndarray, absent: np.ndarray, obs: np.ndarray,
               alpha1: float, alpha2: float, missing_value: float, p: float) -> np.ndarray:
     """Per-cell scale times |obs - ref| ** p, with absent values read as
-    ``missing_value``, in a new array shaped like the map. ``ref`` is
-    C-ordered, as a map's layers are; ``absent`` holds the flat indices of
-    its NaN cells and ``columns`` their columns."""
+    ``missing_value``, in a new array shaped like the map. ``imputed`` is
+    the map's value layer with ``missing_value`` in its absent cells,
+    C-ordered, and ``absent`` holds the flat indices of those cells."""
     obs_present = np.isfinite(obs)
-    filled = np.where(obs_present, obs, missing_value)
-    cells = feature_distance(filled, ref, p)
-    if not obs_present.all():
-        np.multiply(cells, np.where(obs_present, 1.0, alpha2), out=cells)
-    # an unobserved column compares missing_value with itself: 0 under any scale;
-    # cells is a new array laid out as ref, so reshape is a view of it
-    cells.reshape(-1)[absent] = (alpha1 * feature_distance(filled, missing_value, p))[columns]
+    cells = np.subtract(np.where(obs_present, obs, missing_value), imputed)
+    if p == 2.0:
+        np.multiply(cells, cells, out=cells)
+    else:
+        np.abs(cells, out=cells)
+        cells **= p
+    if alpha2 != 1.0 and not obs_present.all():
+        cells[:, ~obs_present] *= alpha2
+    if alpha1 != 1.0:
+        # cells is a new array laid out as imputed, so reshape is a view of it
+        cells.reshape(-1)[absent] *= alpha1
     return cells
 
 
@@ -90,10 +97,9 @@ def cdm_batch(ref: np.ndarray, obs: np.ndarray, weights: np.ndarray,
               alpha1: float, alpha2: float, missing_value: float,
               p: float, base: float) -> np.ndarray:
     """Weighted compound dissimilarity of one observation against every row."""
-    ref = np.ascontiguousarray(ref)
-    absent = np.flatnonzero(~np.isfinite(ref))
-    cells = cdm_cells(ref, absent, absent % ref.shape[1], obs, alpha1, alpha2,
-                      missing_value, p)
+    present = np.isfinite(ref)
+    cells = cdm_cells(np.where(present, ref, missing_value), np.flatnonzero(~present), obs,
+                      alpha1, alpha2, missing_value, p)
     return cdm_reduce(cells, weights, base)
 
 
@@ -216,9 +222,10 @@ def _certified_rows(values: np.ndarray, magnitude: np.ndarray, reach: np.ndarray
     the exact one: up to 6 roundings form a term's factors (the layers,
     ``o``, ``u`` and the block's columns), 3F go to the product and 1 to
     adding the block's constant, itself formed by a sum over F. The
-    cells' value is within gamma(F + 5) M: 4 roundings form a cell, F go to the
-    matrix-vector product and 1 to adding ``base``. M is the kernel's
-    ``magnitude``. An underflowing product adds at most ``_UNDERFLOW``,
+    cells' value is within gamma(F + 5) M: a cell takes 3 roundings, counted
+    as 4 (the subtraction, the square and at most one scale, since a cell
+    that both scales reach is 0), F go to the matrix-vector product and 1
+    to adding ``base``. M is the kernel's ``magnitude``. An underflowing product adds at most ``_UNDERFLOW``,
     later multiplied by at most three factors no larger than
     max(2, alpha1, alpha2, ``reach``); a row forms at most 15F + 8
     products. So the two values of a row lie within ``err`` of each other,

@@ -28,6 +28,7 @@ import json
 import math
 import operator
 import threading
+from collections import abc
 from dataclasses import asdict, dataclass, fields
 from enum import IntEnum
 from itertools import chain
@@ -133,7 +134,13 @@ class Fingerprint:
     features: Mapping[FeatureId, float]
 
     def __post_init__(self):
-        for key, value in self.features.items():
+        features = self.features
+        # C-level passes over the whole record; only a record that fails
+        # one is walked to name its first bad feature
+        if (set(map(type, features)) <= {str} and "" not in features
+                and all(map(math.isfinite, features.values()))):
+            return
+        for key, value in features.items():
             if not isinstance(key, str) or not key:
                 raise ValueError("feature ids must be non-empty strings")
             if not math.isfinite(value):
@@ -455,13 +462,17 @@ class ExtendedRfm:
     represented continuously by Gaussian kernel smoothing, so any location
     in the region can be queried. The layers are immutable; the backing
     arrays are marked read-only so they can be shared across threads, as
-    are the indices of the absent cells, which the dissimilarity kernel
-    reads.
+    are the indices of the absent cells and the imputed value layer, which
+    the dissimilarity kernel reads.
 
-    The one mutable part is a bounded memo of rows derived from the
-    layers at searched locations (:meth:`remembered_row`), at most
-    ``n_points`` of them. Every search shares it, and no search keeps a
-    copy. It keeps each row for the life of the map and changes no result.
+    Two parts are mutable, and neither changes a result. One is a bounded
+    memo of rows derived from the layers at searched locations
+    (:meth:`remembered_row`), at most ``n_points`` of them. Every search
+    shares it, and no search keeps a copy. It keeps each row for the life
+    of the map. The other is the slot of :meth:`imputed_values`, one
+    read-only layer for the last missing value asked for; a thread that
+    finds it empty or keyed to another value builds the layer and
+    replaces the slot whole.
     """
 
     def __init__(self, locations, feature_ids: Sequence[FeatureId], values, sigmas,
@@ -490,10 +501,8 @@ class ExtendedRfm:
                              f"is {float(sigmas[j, f])!r}; every sigma must be finite and > 0")
         entry_counts = present.sum(axis=1)
         absent = np.flatnonzero(~present)
-        absent_columns = absent % f
         by_x, xs, ys = x_order(locations)
-        for arr in (locations, values, sigmas, present, entry_counts, absent, absent_columns,
-                    by_x, xs, ys):
+        for arr in (locations, values, sigmas, present, entry_counts, absent, by_x, xs, ys):
             arr.setflags(write=False)
         self._locations = locations
         # the points in x order, for the candidate search of a lookup
@@ -507,7 +516,7 @@ class ExtendedRfm:
         self._present = present
         self._entry_counts = entry_counts
         self._absent = absent
-        self._absent_columns = absent_columns
+        self._imputed: tuple[float, np.ndarray] | None = None
         self._config = builder_config
         self._rows: dict = {}
         self._memo_lock = threading.Lock()
@@ -548,10 +557,16 @@ class ExtendedRfm:
         """Flat indices of the value layer's NaN cells, ascending, read-only."""
         return self._absent
 
-    @property
-    def absent_columns(self) -> np.ndarray:
-        """The feature column of each of :attr:`absent_cells`, read-only."""
-        return self._absent_columns
+    def imputed_values(self, missing_value: float) -> np.ndarray:
+        """The value layer with ``missing_value`` in its absent cells,
+        read-only: built on first use and kept until another
+        ``missing_value`` is asked for."""
+        slot = self._imputed
+        if slot is None or slot[0] != missing_value:
+            layer = np.where(self._present, self._values, missing_value)
+            layer.setflags(write=False)
+            slot = self._imputed = (missing_value, layer)
+        return slot[1]
 
     @property
     def builder_config(self) -> BuilderConfig:
@@ -963,7 +978,7 @@ def fingerprint_to_obj(fp: Fingerprint) -> dict:
 
 
 def fingerprint_from_obj(obj: Mapping, *, missing_value: float | None = -110.0) -> Fingerprint:
-    if not isinstance(obj, Mapping):
+    if not isinstance(obj, abc.Mapping):
         raise ValueError("each record must be a JSON object")
     try:
         rec_id = obj["id"]
@@ -977,8 +992,15 @@ def fingerprint_from_obj(obj: Mapping, *, missing_value: float | None = -110.0) 
     location = None
     if x is not None:
         location = _json_location(x, y)
-    if not isinstance(features, Mapping):
+    if not isinstance(features, abc.Mapping):
         raise ValueError("features must be an object of feature id to value")
+    values = features.values()
+    # a record of finite floats at or above the floor passes three C-level
+    # passes (with every value finite, min is the smallest); any other is
+    # walked feature by feature, so its first bad feature is named
+    if set(map(type, values)) == {float} and all(map(math.isfinite, values)) and (
+            missing_value is None or min(values) >= missing_value):
+        return Fingerprint(rec_id, location, dict(features))
     parsed: dict[FeatureId, float] = {}
     number = _JSON_TYPES[float]  # _json_value's rule, inlined: this runs for every feature
     for key, value in features.items():

@@ -53,7 +53,7 @@ from rfmloc.model import (ExtendedRfm, FeatureId, Fingerprint, Location,
 def _cells(obs_vec: np.ndarray, rfm: ExtendedRfm, cfg: PositioningConfig) -> np.ndarray:
     """The weight-free cells of ``obs_vec`` against ``rfm``, in a new array
     that belongs to the caller."""
-    return _kernels.cdm_cells(rfm.values, rfm.absent_cells, rfm.absent_columns, obs_vec,
+    return _kernels.cdm_cells(rfm.imputed_values(cfg.missing_value), rfm.absent_cells, obs_vec,
                               cfg.alpha1, cfg.alpha2, cfg.missing_value, cfg.minkowski_p)
 
 

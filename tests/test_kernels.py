@@ -1,5 +1,6 @@
 """Batch dissimilarity kernel against a scalar oracle."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from rfmloc import _kernels
 from rfmloc._kernels import _gamma
 from rfmloc.dissim import feature_distance
-from tests.conftest import random_rfm
+from rfmloc.model import ExtendedRfm, PositioningConfig
+from rfmloc.positioner import locate_batch
+from tests.conftest import make_fp, random_rfm
 
 GAMMA = -110.0
 
@@ -77,9 +80,11 @@ class TestNumpyBackend:
 
 
 def cells_of(ref, obs, a1, a2, gamma, p):
-    """The weight-free cells, with the absent cells of ``ref`` found for this call."""
-    absent = np.flatnonzero(np.isnan(ref))
-    return _kernels.cdm_cells(ref, absent, absent % ref.shape[1], obs, a1, a2, gamma, p)
+    """The weight-free cells, with the imputed layer and absent cells of
+    ``ref`` found for this call."""
+    absent = np.isnan(ref)
+    return _kernels.cdm_cells(np.where(absent, gamma, ref), np.flatnonzero(absent), obs,
+                              a1, a2, gamma, p)
 
 
 def one_pass(ref, obs, weights, a1, a2, gamma, p, base):
@@ -151,9 +156,10 @@ def per_call_terms(ref, obs, a1, a2, gamma, p):
     return np.multiply(scale, terms, out=scale)
 
 
-# (alpha1, alpha2): the defaults, kNN's, and each scale at 0, where a cell
-# absent on both sides must still read +0
-SCALES = [(3.0, 3.0), (1.0, 1.0), (3.0, 0.0), (0.0, 3.0), (0.0, 0.0)]
+# (alpha1, alpha2): the defaults, kNN's, each scale at 1 alone, whose pass
+# the kernel skips, and each scale at 0, where a cell absent on both sides
+# must still read +0
+SCALES = [(3.0, 3.0), (1.0, 1.0), (1.0, 3.0), (3.0, 1.0), (3.0, 0.0), (0.0, 3.0), (0.0, 0.0)]
 
 
 class TestConstants:
@@ -170,26 +176,76 @@ class TestConstants:
                 obs = rng.uniform(-105, -40, size=obs.shape)
             elif corner == "featureless-obs":
                 obs[:] = np.nan
+            imputed = np.where(np.isnan(ref), gamma, ref)
             absent = np.flatnonzero(np.isnan(ref))
-            columns = absent % ref.shape[1]
-            for arr in (ref, absent, columns):
+            for arr in (ref, imputed, absent):
                 arr.setflags(write=False)  # a map's layers are never written
             for a1, a2 in pinned.get(corner, [(a1, a2), *SCALES]):
                 want = per_call_terms(ref, obs, a1, a2, gamma, p).tobytes()
-                got = _kernels.cdm_cells(ref, absent, columns, obs, a1, a2, gamma, p)
+                got = _kernels.cdm_cells(imputed, absent, obs, a1, a2, gamma, p)
                 assert got.tobytes() == want
 
     def test_map_keeps_its_absent_cells_read_only(self, rng):
         for density in (1.0, 0.6, 0.2):
             rfm = random_rfm(rng, n_points=15, n_features=6, density=density)
-            absent = np.flatnonzero(~np.isfinite(rfm.values))
-            assert np.array_equal(rfm.absent_cells, absent)
-            assert np.array_equal(rfm.absent_columns, absent % 6)
-            for arr in (rfm.absent_cells, rfm.absent_columns):
+            present = np.isfinite(rfm.values)
+            assert np.array_equal(rfm.absent_cells, np.flatnonzero(~present))
+            for gamma in (GAMMA, -100.0):
+                layer = rfm.imputed_values(gamma)
+                assert layer.tobytes() == np.where(present, rfm.values, gamma).tobytes()
+            for arr in (rfm.absent_cells, layer):
                 assert not arr.flags.writeable
                 if arr.size:
                     with pytest.raises(ValueError):
-                        arr[0] = arr[0]
+                        arr.flat[0] = arr.flat[0]
+
+    def test_imputed_layer_is_built_once_per_missing_value(self, rng):
+        rfm = random_rfm(rng, n_points=15, n_features=6, density=0.6)
+        first = rfm.imputed_values(GAMMA)
+        assert rfm.imputed_values(GAMMA) is first
+        other = rfm.imputed_values(-100.0)
+        assert other is not first and rfm.imputed_values(-100.0) is other
+        assert np.array_equal(other == -100.0, ~np.isfinite(rfm.values))
+        rebuilt = rfm.imputed_values(GAMMA)
+        assert rebuilt is not first and rebuilt.tobytes() == first.tobytes()
+
+    def test_threads_switching_missing_values_each_get_their_own_layer(self, rng):
+        # the slot is replaced whole, so no thread reads a layer keyed to
+        # another thread's missing value
+        rfm = random_rfm(rng, n_points=200, n_features=12, density=0.6)
+        want = {g: np.where(np.isfinite(rfm.values), rfm.values, g).tobytes()
+                for g in (GAMMA, -100.0, -90.0)}
+
+        def switch(start: int) -> bool:
+            keys = list(want)
+            return all(rfm.imputed_values(keys[(start + i) % 3]).tobytes()
+                       == want[keys[(start + i) % 3]] for i in range(300))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                done = [pool.submit(switch, t) for t in range(6)]
+                assert all(f.result(timeout=60) for f in done)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_estimates_do_not_depend_on_the_layer_kept(self, rng):
+        # a map that switches missing values between batches estimates as
+        # a fresh map per missing value
+        rfm = random_rfm(rng, n_points=25, n_features=6, density=0.6, sigma_range=(0.5, 6.0))
+        queries = [make_fp({f: float(rng.uniform(-100, -40))
+                            for f in rfm.feature_ids if rng.random() < 0.7}, fp_id=i)
+                   for i in range(8)]
+        configs = [PositioningConfig(missing_value=gamma, k=k)
+                   for gamma in (GAMMA, -100.0) for k in (1, 3)]
+        for method in ("iterative", "knn", "cdm"):
+            for cfg in configs + configs[::-1]:
+                fresh = ExtendedRfm(rfm.locations, rfm.feature_ids, rfm.values, rfm.sigmas,
+                                    rfm.builder_config)
+                for q in queries:
+                    assert (locate_batch([q], rfm, cfg, method)
+                            == locate_batch([q], fresh, cfg, method)), (method, cfg)
 
 
 class TestSelection:

@@ -64,6 +64,55 @@ class TestFingerprintValidation:
         assert fp.features["a"] == -120.0
 
 
+def walked_record(obj: dict, missing_value):
+    """The record read by walking its features twice, type and floor, then
+    key and finiteness, as :func:`fingerprint_from_obj` and
+    ``Fingerprint`` did before their C-level passes: the oracle of the
+    first bad feature named."""
+    parsed = {}
+    for key, value in obj["features"].items():
+        if type(value) not in (int, float):
+            raise ValueError(f"feature {key!r} must be a JSON float, got {value!r}")
+        value = float(value)
+        if missing_value is not None and value < missing_value:
+            raise ValueError(
+                f"feature {key!r} is below the missing-value indicator ({missing_value})")
+        parsed[key] = value
+    for key, value in parsed.items():
+        if not isinstance(key, str) or not key:
+            raise ValueError("feature ids must be non-empty strings")
+        if not math.isfinite(value):
+            raise ValueError(f"feature {key!r} has a non-finite value")
+    return parsed
+
+
+class TestFeatureChecks:
+    # each a value that fails one check, or passes only the walk's
+    ODD = [float("nan"), float("inf"), -float("inf"), -120.0, -60, 10 ** 400, True, "-60", None]
+
+    @pytest.mark.parametrize("missing_value", [-110.0, None])
+    def test_first_bad_feature_is_named_as_by_the_walk(self, rng, missing_value):
+        for _ in range(400):
+            n = int(rng.integers(0, 5))
+            keys = [("" if rng.random() < 0.05 else f"f{i}") for i in range(n)]
+            features = {}
+            for key in keys:
+                odd = rng.random() < 0.15
+                features[key] = (self.ODD[rng.integers(len(self.ODD))] if odd
+                                 else float(rng.uniform(-109.0, -40.0)))
+            obj = {"id": 0, "x": None, "y": None, "features": features}
+            try:
+                want = walked_record(obj, missing_value)
+            except (ValueError, OverflowError) as exc:
+                with pytest.raises(type(exc)) as got:
+                    fingerprint_from_obj(obj, missing_value=missing_value)
+                assert str(got.value) == str(exc)
+                continue
+            fp = fingerprint_from_obj(obj, missing_value=missing_value)
+            assert fp.features == want
+            assert [type(v) for v in fp.features.values()] == [float] * len(want)
+
+
 class TestLocationAndRect:
     def test_distance(self):
         assert Location(0.0, 0.0).distance_to(Location(3.0, 4.0)) == 5.0
