@@ -21,7 +21,10 @@ record's support is gathered once into a padded index matrix, and both
 stages run over (records, support, features) blocks of it, a bounded
 number of records at a time, so memory stays flat however large
 ``max_neighbors`` is. The smoothing runs the same way, one call of
-:func:`rfmloc.model.nearest_carriers_nw` per block of records.
+:func:`rfmloc.model.nearest_carriers_nw` per block of records. At one
+location, :func:`kernel_smooth` smooths the filtered layer as a map
+lookup does, with :func:`rfmloc.model.smooth_at`. Both equal
+:func:`rfmloc.model.gaussian_nw`, the scalar definition, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from rfmloc.model import (BuilderConfig, ExtendedRfm, FeatureId, Fingerprint, Location,
-                          RawRfm, gaussian_nw, in_range, nearest_carriers_nw, x_order,
-                          x_window)
+                          RawRfm, in_range, nearest_carriers_nw, smooth_at, x_order, x_window)
 
 
 # Values per gathered block, 64 KB of float64: (records, support,
@@ -180,24 +182,9 @@ def kernel_smooth(filtered: RawRfm, loc: Location,
     omitted from the result.
     """
     _, locs, feature_ids, matrix = _record_layers(filtered)
-    return _kernel_smooth(locs, feature_ids, matrix, loc, cfg)
-
-
-def _kernel_smooth(locs: np.ndarray, feature_ids, matrix: np.ndarray, loc: Location,
-                   cfg: BuilderConfig) -> list[tuple[FeatureId, float]]:
-    """:func:`kernel_smooth` over the dense layers :func:`_record_layers`
-    gives, so that a walk over many locations builds them once."""
-    d = np.hypot(locs[:, 0] - loc.x, locs[:, 1] - loc.y)
-    order = np.argsort(d, kind="stable")
-    cutoff = 3.0 * cfg.bandwidth
-    out: list[tuple[FeatureId, float]] = []
-    for f, fid in enumerate(feature_ids):
-        carriers = order[np.isfinite(matrix[order, f])]
-        carriers = carriers[d[carriers] <= cutoff][: cfg.ks_neighbors]
-        if carriers.size == 0:
-            continue
-        out.append((fid, gaussian_nw(matrix[carriers, f], d[carriers], cfg.bandwidth)))
-    return out
+    features, (values,) = smooth_at(*x_order(locs), np.isfinite(matrix), (matrix,), loc,
+                                    cfg.ks_neighbors, cfg.bandwidth, 3.0 * cfg.bandwidth)
+    return [(feature_ids[f], v) for f, v in zip(features.tolist(), values.tolist())]
 
 
 def _smooth_matrix(locs, filtered, cfg) -> np.ndarray:

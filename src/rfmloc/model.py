@@ -18,7 +18,10 @@ a map decodes its value layer with numpy, and ``sigma`` and the (n, 2)
 
 Maps in format 2, which listed per point the indices, values and sigmas
 of the features it carries, and in format 1, which listed one ``{"id",
-"v", "sigma"}`` object per entry, are still read, into the same layers.
+"v", "sigma"}`` object per entry, are still read, into the same layers,
+by one walk over their points that checks each in document order and
+names the first fault. ``ExtendedRfm.load(path).save(path)`` rewrites
+such a map in format 3, which loads without that walk.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import threading
 from collections import abc
 from dataclasses import asdict, dataclass, fields
 from enum import IntEnum
-from itertools import chain
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -454,6 +456,30 @@ def nearest_carriers_nw(bounds: np.ndarray, points: np.ndarray, d: np.ndarray,
     return estimates.reshape(len(layers), -1, m).transpose(0, 2, 1)
 
 
+def smooth_at(by_x: np.ndarray, xs: np.ndarray, ys: np.ndarray, present: np.ndarray,
+              layers: Sequence[np.ndarray], loc: Location, ks: int, bandwidth: float,
+              cutoff: float):
+    """Gaussian kernel smoothing of every feature at one location, over
+    the points within ``cutoff`` of it: the indices of the features with a
+    carrier there, ascending, and the (len(layers), features) estimates.
+
+    ``by_x``, ``xs`` and ``ys`` are the points' :func:`x_order`; the rest
+    is as for :func:`nearest_carriers_nw`. The location's :func:`x_window`
+    is a slice of the x order, measured by the exact test and ranked by
+    (distance, index), without the gathers of :func:`in_range`, which would
+    cost a lookup about 14 µs more (906 points, 2-vCPU host).
+    """
+    lo, hi = x_window(xs, loc.x, cutoff)
+    d = np.hypot(xs[lo:hi] - loc.x, ys[lo:hi] - loc.y)
+    keep = (d <= cutoff).nonzero()[0]
+    points, d = by_x[lo:hi][keep], d[keep]
+    order = np.lexsort((points, d))
+    estimates = nearest_carriers_nw(np.array([0, order.size]), points[order], d[order],
+                                    present, layers, ks, bandwidth)[:, 0]
+    features = np.isfinite(estimates[0]).nonzero()[0]
+    return features, estimates[:, features]
+
+
 class ExtendedRfm:
     """Reference map extended with a per-feature spread layer.
 
@@ -602,10 +628,8 @@ class ExtendedRfm:
         the restriction would leave no entries at all, it is dropped so the
         query stays answerable anywhere in the region.
 
-        The map keeps its points in x order. Only the points of the
-        location's :func:`x_window` are measured, by the exact test
-        ``np.hypot(px - x, py - y) <= cutoff``, and those in range are
-        smoothed by :func:`nearest_carriers_nw` as a block of one location.
+        The map keeps its points in x order, and each restriction is one
+        call of :func:`smooth_at`.
         """
         features, (values, sigmas) = self._smoothed(loc, (self._values, self._sigmas))
         return features, values, sigmas
@@ -618,24 +642,15 @@ class ExtendedRfm:
 
     def _smoothed(self, loc: Location, layers: tuple[np.ndarray, ...]):
         """The features with an estimate at ``loc``, ascending, and the
-        (len(layers), features) estimates: within three bandwidths, else
-        unrestricted. One location's window is a slice of the x order, read
-        without the gathers of :func:`in_range`, which would cost a lookup
-        about 14 µs more (906 points, 2-vCPU host)."""
-        ks = self._config.ks_neighbors
+        (len(layers), features) estimates: :func:`smooth_at` within three
+        bandwidths, else unrestricted."""
         h = self._config.bandwidth
         for cutoff in (3.0 * h, math.inf):
-            lo, hi = x_window(self._xs, loc.x, cutoff)
-            d = np.hypot(self._xs[lo:hi] - loc.x, self._ys[lo:hi] - loc.y)
-            keep = (d <= cutoff).nonzero()[0]
-            points, d = self._by_x[lo:hi][keep], d[keep]
-            order = np.lexsort((points, d))
-            estimates = nearest_carriers_nw(np.array([0, order.size]), points[order], d[order],
-                                            self._present, layers, ks, h)[:, 0]
-            features = np.isfinite(estimates[0]).nonzero()[0]
+            features, estimates = smooth_at(self._by_x, self._xs, self._ys, self._present,
+                                            layers, loc, self._config.ks_neighbors, h, cutoff)
             if features.size:
                 break
-        return features, estimates[:, features]
+        return features, estimates
 
     def query(self, loc: Location) -> list[RfmEntry]:
         """:meth:`query_arrays` as an entry list, ordered by feature id."""
@@ -684,6 +699,7 @@ class ExtendedRfm:
         indices of the features they carry with their values and sigmas,
         and format 1, the document without ``"format"`` whose points hold
         ``"entries"``, one ``{"id", "v", "sigma"}`` object per stored value.
+        Writing such a map back out converts it to format 3.
         """
         fids = self._feature_ids
         order = sorted(range(len(fids)), key=fids.__getitem__)
@@ -697,7 +713,9 @@ class ExtendedRfm:
     @classmethod
     def from_json(cls, text: str) -> "ExtendedRfm":
         """A map from a format-3 document (see :meth:`to_json`), or a format-2
-        or format-1 one."""
+        or format-1 one. Both older formats are read by one walk that checks
+        each point's coordinates and then each of its entries, in document
+        order, so the first fault in the document is the one named."""
         obj = json.loads(text)
         if "format" not in obj:
             decode = _format1_layers
@@ -744,23 +762,10 @@ def _check_entry(j: int, fid, v, sigma) -> None:
 
 def _format1_layers(obj: Mapping):
     """The reference locations, feature ids, value layer and sigma layer of
-    a format-1 map, checked entry by entry."""
-    coords, rows, fids, values, sigmas = [], [], [], [], []
-    for j, pt in enumerate(obj["points"]):
-        x, y = pt["x"], pt["y"]
-        _check_coordinates(j, x, y)
-        coords.append((x, y))
-        for e in pt["entries"]:
-            fid, v, sigma = e["id"], e["v"], e["sigma"]
-            _check_entry(j, fid, v, sigma)
-            rows.append(j)
-            fids.append(fid)
-            values.append(v)
-            sigmas.append(sigma)
-    universe = sorted(set(fids))
-    index = {fid: i for i, fid in enumerate(universe)}
-    locations = np.array(coords, dtype=float).reshape(len(coords), 2)
-    return _dense(locations, universe, rows, [index[fid] for fid in fids], values, sigmas)
+    a format-1 map, whose points list one ``{"id", "v", "sigma"}`` object
+    per entry."""
+    return _walked_layers(obj["points"], None, lambda j, pt: (
+        (e["id"], e["v"], e["sigma"]) for e in pt["entries"]))
 
 
 def _checked_features(features) -> list:
@@ -774,17 +779,48 @@ def _checked_features(features) -> list:
 
 
 def _format2_layers(obj: Mapping):
-    """:func:`_format1_layers` for a format-2 map. Its points are checked
-    in whole-list passes; only a map that fails one is scanned point by
-    point, for the first fault."""
-    features, points = _checked_features(obj["features"]), obj["points"]
-    columns = [list(map(operator.itemgetter(key), points))
-               for key in ("x", "y", "f", "v", "sigma")]
-    cells = _format2_cells(*columns, len(features))
-    if cells is None:
-        _raise_first_fault(points, features)
-    locations, rows, cols, values, sigmas = cells
-    return _dense(locations, features, rows, cols, values, sigmas)
+    """:func:`_format1_layers` for a format-2 map, whose points list the
+    indices, values and sigmas of their entries as ``f``, ``v`` and
+    ``sigma``: lists of equal length, each index an int in [0, features)."""
+    features = _checked_features(obj["features"])
+    n = len(features)
+
+    def entries(j: int, pt: Mapping):
+        f, v, sigma = pt["f"], pt["v"], pt["sigma"]
+        if not (type(f) is type(v) is type(sigma) is list and len(f) == len(v) == len(sigma)):
+            raise ValueError(f"reference point {j} does not hold f, v and sigma as lists "
+                             f"of equal length")
+        for i, value, s in zip(f, v, sigma):
+            if type(i) is not int or not 0 <= i < n:
+                raise ValueError(f"feature index {i!r} at reference point {j} is not an "
+                                 f"int in [0, {n})")
+            yield features[i], value, s
+
+    return _walked_layers(obj["points"], features, entries)
+
+
+def _walked_layers(points: Iterable, feature_ids: Sequence[FeatureId] | None, entries):
+    """The layers of a format-1 or format-2 map, its points checked one by
+    one in document order: a point's coordinates, then each of the
+    ``(feature id, v, sigma)`` entries ``entries(j, point)`` yields, so the
+    first fault in the document is the one named. ``feature_ids`` are the
+    map's columns, or None for the sorted ids its entries name."""
+    coords, rows, fids, values, sigmas = [], [], [], [], []
+    for j, pt in enumerate(points):
+        x, y = pt["x"], pt["y"]
+        _check_coordinates(j, x, y)
+        coords.append((x, y))
+        for fid, v, sigma in entries(j, pt):
+            _check_entry(j, fid, v, sigma)
+            rows.append(j)
+            fids.append(fid)
+            values.append(v)
+            sigmas.append(sigma)
+    if feature_ids is None:
+        feature_ids = sorted(set(fids))
+    index = {fid: i for i, fid in enumerate(feature_ids)}
+    locations = np.array(coords, dtype=float).reshape(len(coords), 2)
+    return _dense(locations, feature_ids, rows, [index[fid] for fid in fids], values, sigmas)
 
 
 def _dense(locations: np.ndarray, feature_ids: Sequence[FeatureId], rows, cols, values,
@@ -800,50 +836,6 @@ def _dense(locations: np.ndarray, feature_ids: Sequence[FeatureId], rows, cols, 
     if np.count_nonzero(np.isfinite(value_layer)) != len(values):
         raise _listed_twice(feature_ids, rows, cols)
     return locations, feature_ids, value_layer, sigma_layer
-
-
-def _format2_cells(xs: list, ys: list, fs: list, vs: list, ss: list, n_features: int):
-    """The locations and listed cells of format-2 points given as one list
-    per key, or None if a point breaks a rule: coordinates and values
-    finite JSON numbers, ``f``, ``v`` and ``sigma`` lists of equal length,
-    each index an int in [0, n_features)."""
-    if not set(map(type, chain(fs, vs, ss))) <= {list}:
-        return None
-    counts = list(map(len, fs))
-    if not (counts == list(map(len, vs)) == list(map(len, ss))
-            and set(map(type, chain(xs, ys, *map(chain.from_iterable, (vs, ss))))) <= _NUMBER
-            and set(map(type, chain.from_iterable(fs))) <= {int}):
-        return None
-    total = sum(counts)
-    try:
-        locations = np.array((xs, ys), dtype=float).T
-        cols = np.fromiter(chain.from_iterable(fs), np.intp, total)
-        values = np.fromiter(chain.from_iterable(vs), float, total)
-        sigmas = np.fromiter(chain.from_iterable(ss), float, total)
-    except OverflowError:  # an int too large for its array
-        return None
-    if not (np.isfinite(locations).all() and np.isfinite(values).all()
-            and np.isfinite(sigmas).all()
-            and (total == 0 or (cols.min() >= 0 and cols.max() < n_features))):
-        return None
-    return locations, np.repeat(np.arange(len(xs)), counts), cols, values, sigmas
-
-
-def _raise_first_fault(points: Sequence, feature_ids: Sequence[FeatureId]) -> None:
-    """Raise the error naming the first format-2 point that breaks a rule
-    of :func:`_format2_cells`."""
-    for j, pt in enumerate(points):
-        _check_coordinates(j, pt["x"], pt["y"])
-        f, v, sigma = pt["f"], pt["v"], pt["sigma"]
-        if not (type(f) is type(v) is type(sigma) is list and len(f) == len(v) == len(sigma)):
-            raise ValueError(f"reference point {j} does not hold f, v and sigma as lists "
-                             f"of equal length")
-        for i, value, s in zip(f, v, sigma):
-            if type(i) is not int or not 0 <= i < len(feature_ids):
-                raise ValueError(f"feature index {i!r} at reference point {j} is not an "
-                                 f"int in [0, {len(feature_ids)})")
-            _check_entry(j, feature_ids[i], value, s)
-    raise ValueError("a reference point breaks the map format")
 
 
 def _listed_twice(feature_ids: Sequence[FeatureId], rows, cols) -> ValueError:

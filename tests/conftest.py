@@ -1,6 +1,7 @@
 """Shared helpers: direct construction of small extended maps and raw
 surveys without running the builder pipeline, a test-side writer of the
-older map format 2, and an editor of format-3 layers."""
+older map format 2, an editor of format-3 layers, and the scalar kernel
+smoothing that every smoothing path is checked against."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from rfmloc.builder import BuilderConfig
-from rfmloc.model import ExtendedRfm, Fingerprint, Location, RawRfm, Rect
+from rfmloc.model import ExtendedRfm, Fingerprint, Location, RawRfm, Rect, gaussian_nw
 
 
 def make_rfm(locations, features, values, sigmas=None,
@@ -57,6 +58,28 @@ def edit_layer(obj: dict, key: str, edit) -> dict:
     data = edit(layer)
     obj[key] = base64.b64encode(layer.tobytes() if data is None else data).decode("ascii")
     return obj
+
+
+def scan_smooth(locations: np.ndarray, layers, at: Location, cfg: BuilderConfig,
+                cutoff: float | None = None) -> dict:
+    """Kernel smoothing by a full scan and one :func:`gaussian_nw` call per
+    feature and layer: the oracle of map lookups, block smoothing and the
+    builder. Per feature that ``layers[0]`` carries within ``cutoff`` of
+    ``at`` (three bandwidths by default), its column maps to the estimates
+    of every layer over its nearest ``cfg.ks_neighbors`` carriers, distance
+    ties by index."""
+    if cutoff is None:
+        cutoff = 3.0 * cfg.bandwidth
+    d = np.hypot(locations[:, 0] - at.x, locations[:, 1] - at.y)
+    order = np.argsort(d, kind="stable")
+    present = np.isfinite(layers[0])
+    out = {}
+    for f in range(present.shape[1]):
+        carriers = order[present[order, f]]
+        sel = carriers[d[carriers] <= cutoff][:cfg.ks_neighbors]
+        if sel.size:
+            out[f] = [gaussian_nw(layer[sel, f], d[sel], cfg.bandwidth) for layer in layers]
+    return out
 
 
 def random_rfm(rng: np.random.Generator, n_points: int, n_features: int,

@@ -11,7 +11,7 @@ from rfmloc.builder import (BuilderConfig, EmptyNeighborhood, build,
                             estimate_std, kernel_smooth, neighborhood,
                             spatial_median_filter)
 from rfmloc.model import Fingerprint, Location, RawRfm
-from tests.conftest import awkward_locations, grid_raw, make_fp
+from tests.conftest import awkward_locations, grid_raw, make_fp, scan_smooth
 
 CFG = BuilderConfig()
 
@@ -154,6 +154,12 @@ class TestKernelSmooth:
         assert kernel_smooth(raw, Location(0.0, 0.0), CFG) == []
 
 
+def _scan_smooth(locs, feature_ids, matrix, loc, cfg) -> dict:
+    """:func:`scan_smooth` of the dense filtered layer at ``loc``, as
+    {feature id: value}, the oracle of :func:`kernel_smooth`."""
+    return {feature_ids[f]: v for f, (v,) in scan_smooth(locs, (matrix,), loc, cfg).items()}
+
+
 class TestEstimateStd:
     def _smoother(self, value):
         return lambda loc: {"a": value}
@@ -286,7 +292,7 @@ class TestBuild:
         filtered = spatial_median_filter(raw, cfg)
         _, locs, feature_ids, matrix = builder._record_layers(filtered)
         for j, rec in enumerate(filtered.records):
-            expected = dict(builder._kernel_smooth(locs, feature_ids, matrix, rec.location, cfg))
+            expected = _scan_smooth(locs, feature_ids, matrix, rec.location, cfg)
             for f, fid in enumerate(rfm.feature_ids):
                 if fid in rec.features:
                     assert rfm.values[j, f] == expected[fid]
@@ -403,7 +409,7 @@ class TestLayerOracles:
 
         def smoothed_at(loc):
             if loc not in smoothed:
-                smoothed[loc] = dict(builder._kernel_smooth(locs, feature_ids, matrix, loc, cfg))
+                smoothed[loc] = _scan_smooth(locs, feature_ids, matrix, loc, cfg)
             return smoothed[loc]
 
         for j, rec in enumerate(raw.records):
@@ -494,12 +500,32 @@ class TestNeighborSearch:
         filtered = spatial_median_filter(raw, cfg)
         _, locs, feature_ids, matrix = builder._record_layers(filtered)
         for j, rec in enumerate(filtered.records):
-            expected = dict(builder._kernel_smooth(locs, feature_ids, matrix, rec.location, cfg))
+            expected = _scan_smooth(locs, feature_ids, matrix, rec.location, cfg)
             for f, fid in enumerate(rfm.feature_ids):
                 if fid in rec.features:
                     assert rfm.values[j, f] == expected[fid]
                 else:
                     assert np.isnan(rfm.values[j, f])
+
+    @pytest.mark.parametrize("ks", [1, 2, 3, 20])
+    @pytest.mark.parametrize("bandwidth", [1.0 / 3.0, 2.0 / 3.0, 1.0])
+    def test_kernel_smooth_equals_scan_off_the_records(self, rng, ks, bandwidth):
+        # (3, 0) lies exactly 1, 2 and 3 from grid nodes, the cutoffs of the
+        # three bandwidths; the last two centers have no record in range
+        raw = _awkward_survey(rng)
+        cfg = BuilderConfig(ks_neighbors=ks, bandwidth=bandwidth)
+        _, locs, feature_ids, matrix = builder._record_layers(raw)
+        centers = [Location(3.0, 0.0), Location(4.0, 2.0), Location(0.0, 0.0),
+                   Location(5.0, 0.25), Location(4.5, -0.75), Location(-3.1, 0.0),
+                   Location(40.0, 0.0), Location(5.0, 30.0)]
+        assert 3.0 * bandwidth in np.hypot(locs[:, 0] - 3.0, locs[:, 1])
+        for at in centers:
+            got = kernel_smooth(raw, at, cfg)
+            want = _scan_smooth(locs, feature_ids, matrix, at, cfg)
+            assert [fid for fid, _ in got] == list(want)
+            assert np.array([v for _, v in got]).tobytes() == np.array([*want.values()]).tobytes()
+        for at in centers[-2:]:
+            assert kernel_smooth(raw, at, cfg) == []
 
 
 class TestBlockMedian:

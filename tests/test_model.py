@@ -16,32 +16,16 @@ from rfmloc.model import (DataError, ExtendedRfm, Fingerprint, Location,
                           fingerprint_to_obj, gaussian_nw, in_range, nearest_carriers_nw,
                           read_fingerprints, write_fingerprints, x_order)
 from tests.conftest import (ROUNDING_XS, awkward_locations, edit_layer, make_fp, make_rfm,
-                            per_entry_format_2, random_rfm)
+                            per_entry_format_2, random_rfm, scan_smooth)
 
 
 def reference_query(rfm: ExtendedRfm, loc: Location) -> list[RfmEntry]:
-    """The per-feature loop the vectorised query replaced, kept as its oracle."""
-    if rfm.n_points == 0:
-        return []
-    cfg = rfm.builder_config
-    d = np.hypot(rfm.locations[:, 0] - loc.x, rfm.locations[:, 1] - loc.y)
-    order = np.argsort(d, kind="stable")
-    present = np.isfinite(rfm.values)
-
-    def along(cutoff):
-        out = []
-        for f, fid in enumerate(rfm.feature_ids):
-            carriers = order[present[order, f]]
-            if cutoff is not None:
-                carriers = carriers[d[carriers] <= cutoff]
-            sel = carriers[:cfg.ks_neighbors]
-            if sel.size == 0:
-                continue
-            out.append(RfmEntry(fid, gaussian_nw(rfm.values[sel, f], d[sel], cfg.bandwidth),
-                                gaussian_nw(rfm.sigmas[sel, f], d[sel], cfg.bandwidth)))
-        return out
-
-    return along(3.0 * cfg.bandwidth) or along(None)
+    """:func:`scan_smooth` of both layers within three bandwidths, else
+    unrestricted: the oracle of a lookup."""
+    layers, cfg = (rfm.values, rfm.sigmas), rfm.builder_config
+    found = scan_smooth(rfm.locations, layers, loc, cfg) or scan_smooth(
+        rfm.locations, layers, loc, cfg, math.inf)
+    return [RfmEntry(rfm.feature_ids[f], v, s) for f, (v, s) in found.items()]
 
 
 class TestFingerprintValidation:
@@ -297,6 +281,35 @@ class TestExtendedRfmSerialization:
                 assert getattr(back, layer).tobytes() == getattr(maps[-1], layer).tobytes()
             assert back.to_json() == rfm.to_json()
         assert np.signbit(maps[-1].locations[:2]).any() and np.signbit(maps[-1].values).any()
+
+    # a fault of each kind a legacy point can hold, at point j: the edit and
+    # the phrase of its error
+    LEGACY_FAULTS = {
+        "format-1 entry": (1, lambda pt: pt["entries"][0].update(v=True),
+                           "feature 'a' at reference point {j} has v=True, sigma=0.5;"),
+        "format-2 index": (2, lambda pt: pt["f"].__setitem__(0, -1),
+                           "feature index -1 at reference point {j} is not an int in [0, 3)"),
+        "format-2 entry": (2, lambda pt: pt["v"].__setitem__(0, "-60"),
+                           "feature 'a' at reference point {j} has v='-60', sigma=0.5;"),
+        "format-2 lists": (2, lambda pt: pt["sigma"].pop(),
+                           "reference point {j} does not hold f, v and sigma as lists"),
+    }
+
+    @pytest.mark.parametrize("fault", LEGACY_FAULTS)
+    @pytest.mark.parametrize("coordinates_at, fault_at", [(3, 5), (5, 3)])
+    def test_legacy_formats_name_the_first_fault(self, fault, coordinates_at, fault_at):
+        # a coordinate fault and a fault of another kind: the earlier, at
+        # point 3, is named
+        fmt, edit, phrase = self.LEGACY_FAULTS[fault]
+        rfm = make_rfm([[float(j), 0.0] for j in range(7)], ["a", "b", "c"],
+                       [[-60.0 - j, np.nan if j % 2 else -70.0, -80.0] for j in range(7)])
+        obj = json.loads(self._reference_to_json(rfm) if fmt == 1 else per_entry_format_2(rfm))
+        obj["points"][coordinates_at]["x"] = "1.5"
+        edit(obj["points"][fault_at])
+        if coordinates_at < fault_at:
+            phrase = "reference point {j} has x='1.5', y=0.0; coordinates must be finite"
+        with pytest.raises(ValueError, match=re.escape(phrase.format(j=3))):
+            ExtendedRfm.from_json(json.dumps(obj))
 
     @pytest.mark.parametrize("fmt", [1, 4, "2", "3", 2.0, True, None])
     def test_unknown_format_rejected(self, fmt):
@@ -565,20 +578,14 @@ class TestCandidateSearch:
 
 
 def reference_block(rfm: ExtendedRfm, centers: np.ndarray, cutoff: float) -> np.ndarray:
-    """The (2, centers, features) layers of :func:`reference_query` within
-    ``cutoff`` and without its fallback, NaN where a feature has no carrier."""
-    cfg = rfm.builder_config
-    present = np.isfinite(rfm.values)
+    """The (2, centers, features) layers of :func:`scan_smooth` within
+    ``cutoff``, NaN where a feature has no carrier."""
     out = np.full((2, len(centers), len(rfm.feature_ids)), np.nan)
     for i, (cx, cy) in enumerate(centers):
-        d = np.hypot(rfm.locations[:, 0] - cx, rfm.locations[:, 1] - cy)
-        order = np.argsort(d, kind="stable")
-        for f in range(len(rfm.feature_ids)):
-            carriers = order[present[order, f]]
-            sel = carriers[d[carriers] <= cutoff][:cfg.ks_neighbors]
-            if sel.size:
-                out[0, i, f] = gaussian_nw(rfm.values[sel, f], d[sel], cfg.bandwidth)
-                out[1, i, f] = gaussian_nw(rfm.sigmas[sel, f], d[sel], cfg.bandwidth)
+        found = scan_smooth(rfm.locations, (rfm.values, rfm.sigmas), Location(cx, cy),
+                            rfm.builder_config, cutoff)
+        for f, estimates in found.items():
+            out[:, i, f] = estimates
     return out
 
 
